@@ -1,22 +1,33 @@
 """Benchmark of the ``berrydd`` command line, one workload per run.
 
-    python3 bench/run.py --workload theta_sweep --seed 2024 --seconds 40 --trace 0
-    python3 bench/run.py --workload all --seconds 40 --results bench/results/baseline.json
+    python3 bench/run.py --workload theta_sweep --seed 2024 --seconds 30 --trace 0
+    python3 bench/run.py --workload all --seconds 30 --results bench/results/baseline.json
 
 Each iteration is a fresh interpreter (``worker.py``) that imports
 ``berrydd.cli``, loads the workload config and calls ``berrydd.cli.main``
 once, as a user's CLI call does.  Iterations repeat until the next one
-would overrun ``--seconds`` (at least three, four when traced).  Times are
-those of the fastest iteration; set-up time, memory and per-layer metrics
-are medians over iterations.  Every iteration's CSVs are checked against the
-golden output (``golden.py``); a row that raised or failed the check is
-counted in ``failed``.
+would overrun ``--seconds`` (at least three, four when traced).  Iteration
+``i`` runs at seed ``workloads.iteration_seed(seed, i)``, so the first runs
+at ``--seed`` and a run's medians cover several inputs.  Every
+iteration's CSVs are checked against the golden output (``golden.py``); a
+row that raised or failed the check is counted in ``failed``.
+
+The host's speed is probed during each call (``speed.py``), and the gated
+times are in reference seconds (``ref_s``): measured time less probe time,
+times the host's speed relative to a fixed reference.  A shared host's
+co-tenants slow whole runs by up to ~1.8x; the probe cancels that, where
+no statistic over a run can.  ``wall_ref_s``, ``realizations_per_ref_s``
+and ``cpu_ref_s`` are medians over iterations; so are ``setup_s`` (raw
+seconds from process creation to the ``ready`` line) and ``peak_rss_mb``.
+The raw ``wall_s``, ``realizations_per_s`` and ``cpu_s`` and the host
+speed are printed and kept in ``--results`` files, but not gated.
 
 With ``--trace 0`` the metrics are the end-to-end ones.  With ``--trace 1``
 iterations alternate untraced and traced; the traced ones record spans of
 every layer from outside the package (``spans.py``) and give the per-layer
-metrics, and ``trace.overhead_s`` is the fastest traced minus the fastest
-untraced ``wall_s``.
+metrics in raw seconds, with ``host.speed`` to rescale them; and
+``trace.overhead_ref_s`` is the median traced minus the median untraced
+``wall_ref_s``.
 
 The last line of stdout is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  ``--results`` also writes the full record,
@@ -94,7 +105,7 @@ def _iterate(workload, seed, work, traced, time_left):
         raise BenchError(f"worker failed (exit {proc.returncode}):\n"
                          + err_path.read_text()[-2000:])
     record = json.loads(lines[-1])
-    record.update(setup_s=setup_s, traced=traced)
+    record.update(seed=seed, setup_s=setup_s, traced=traced)
     return record
 
 
@@ -106,15 +117,17 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     work.mkdir(parents=True)
     samples = []
     try:
-        cfg = workloads.config(workload, seed)
-        if cfg is not None:
-            (work / "config.json").write_text(json.dumps(cfg))
         need = MIN_TRACED_ITERATIONS if trace else MIN_ITERATIONS
         start = time.perf_counter()
         while True:
             elapsed = time.perf_counter() - start
             traced = trace and len(samples) % 2 == 1
-            samples.append(_iterate(workload, seed, work, traced, HARD_LIMIT_S - elapsed))
+            iteration_seed = workloads.iteration_seed(seed, len(samples))
+            cfg = workloads.config(workload, iteration_seed)
+            if cfg is not None:
+                (work / "config.json").write_text(json.dumps(cfg))
+            samples.append(_iterate(workload, iteration_seed, work, traced,
+                                    HARD_LIMIT_S - elapsed))
             elapsed = time.perf_counter() - start
             next_end = elapsed * (len(samples) + 1) / len(samples)
             if next_end > HARD_LIMIT_S or (len(samples) >= need and next_end > seconds):
@@ -124,29 +137,42 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     return summarize(workload, seed, trace, samples)
 
 
+# printed and kept in results files, not gated: they move with the host's load
+UNGATED_UNITS = {"wall_s": "s", "realizations_per_s": "1/s", "cpu_s": "s", "host.speed": "x"}
+
+
+def _ref_s(sample, key):
+    """A time of ``sample`` in reference seconds (see ``speed.py``)."""
+    return (sample[key] - sample["probe_s"]) * sample["speed"]
+
+
 def summarize(workload, seed, trace, samples) -> dict:
     plain = [s for s in samples if not s["traced"]]
     traced = [s for s in samples if s["traced"]]
     attempted = sum(s["attempted"] for s in samples)
     failed = sum(s["failed"] for s in samples)
-    # Co-tenants of a shared host only ever add time, in bursts of seconds:
-    # the best iteration estimates the program's own cost (as timeit does).
-    # Set-up time and memory are medians.
+    median = statistics.median
     end_to_end = {
-        "wall_s": min(s["wall_s"] for s in plain),
-        "realizations_per_s": max(s["realizations"] / s["wall_s"] for s in plain),
-        "setup_s": statistics.median(s["setup_s"] for s in samples),
-        "cpu_s": min(s["cpu_s"] for s in plain),
-        "peak_rss_mb": statistics.median(s["peak_rss_mb"] for s in plain),
+        "wall_ref_s": median(_ref_s(s, "wall_s") for s in plain),
+        "realizations_per_ref_s": median(s["realizations"] / _ref_s(s, "wall_s") for s in plain),
+        "cpu_ref_s": median(_ref_s(s, "cpu_s") for s in plain),
+        "setup_s": median(s["setup_s"] for s in samples),
+        "peak_rss_mb": median(s["peak_rss_mb"] for s in plain),
+        "wall_s": median(s["wall_s"] for s in plain),
+        "realizations_per_s": median(s["realizations"] / s["wall_s"] for s in plain),
+        "cpu_s": median(s["cpu_s"] for s in plain),
+        "host.speed": median(s["speed"] for s in plain),
     }
     per_layer = {}
     if traced:
         for name in traced[0]["layers"]:
             per_layer[name] = statistics.median([s["layers"][name] for s in traced])
         per_layer["cli.bytes_written"] = statistics.median([s["bytes_written"] for s in traced])
-        per_layer["cli.rows_bit_identical"] = min(s["bit_identical"] for s in traced)
-        per_layer["trace.overhead_s"] = (
-            min(s["wall_s"] for s in traced) - end_to_end["wall_s"])
+        # only the first iteration runs at the run's seed, the golden one by default
+        per_layer["cli.rows_bit_identical"] = max(s["bit_identical"] for s in samples)
+        per_layer["host.speed"] = median(s["speed"] for s in traced)
+        per_layer["trace.overhead_ref_s"] = (
+            median(_ref_s(s, "wall_s") for s in traced) - end_to_end["wall_ref_s"])
     problems = [p for s in samples for p in s["problems"]]
     return {
         "workload": workload,
@@ -195,7 +221,8 @@ def report_line(record: dict, units: dict) -> dict:
 def print_table(record: dict, units: dict) -> None:
     print(f"# {record['workload']} seed={record['seed']} trace={int(record['trace'])} "
           f"iterations={record['iterations']}")
-    rows = [(n, record["end_to_end"][n], u) for n, u in units["end_to_end"].items()]
+    rows = [(n, record["end_to_end"][n], u)
+            for n, u in {**units["end_to_end"], **UNGATED_UNITS}.items()]
     rows.append(("failed_frac", record["failed_frac"],
                  f"({record['failed']}/{record['attempted']} rows)"))
     rows += [(n, record["per_layer"][n], u) for n, u in units["per_layer"].items()

@@ -44,6 +44,7 @@ def test_perturbed_w_row_is_flagged_and_counts_in_failed_frac():
 
     sample = {"traced": False, "attempted": res.attempted, "failed": res.failed,
               "problems": res.problems, "wall_s": 1.0, "realizations": 20800,
+              "probe_s": 0.03, "speed": 1.0,
               "setup_s": 1.0, "cpu_s": 1.0, "peak_rss_mb": 100.0, "environment": {}}
     record = run.summarize("theta_sweep", workloads.GOLDEN_SEED, False, [sample])
     assert record["failed_frac"] == 1 / 52

@@ -4,7 +4,8 @@ Imports ``berrydd.cli`` from the checkout's ``src``, loads the workload
 config, prints ``ready``, calls ``berrydd.cli.main`` once and checks the
 files it wrote against the golden output.  The last line on stdout is a
 JSON object with the measurements.  ``run.py`` times start-up from process
-creation to the ``ready`` line.
+creation to the ``ready`` line.  A ``speed.SpeedProbe`` runs during the
+call, so ``run.py`` can rescale its times to reference seconds.
 
     python3 bench/worker.py --workload theta_sweep --seed 2024 --work-dir DIR
 """
@@ -72,13 +73,16 @@ def main() -> int:
 
     import golden
     import spans
+    import speed
 
     out = args.work_dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     argv = workloads.cli_args(args.workload, args.seed, out, config_path)
+    probe = speed.SpeedProbe()
     rec = spans.install_berrydd_probes() if args.trace else None
     error = None
     cpu0 = _cpu_s()
+    probe.start()
     t0 = time.perf_counter()
     try:
         code = cli.main(argv)
@@ -86,6 +90,8 @@ def main() -> int:
             error = f"cli.main returned {code}"
     except Exception:  # a crashing call counts as failed rows, not a crashed benchmark
         error = traceback.format_exc()
+    finally:
+        probe.stop()
     wall_s = time.perf_counter() - t0
     cpu_s = _cpu_s() - cpu0
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -111,6 +117,8 @@ def main() -> int:
         "wall_s": wall_s,
         "cpu_s": cpu_s,
         "peak_rss_mb": peak_rss_mb,
+        "probe_s": probe.probe_s(),
+        "speed": probe.speed(),
         "realizations": realizations,
         "attempted": result.attempted,
         "failed": result.failed,

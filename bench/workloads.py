@@ -26,6 +26,8 @@ from pathlib import Path
 
 NAMES = ("theta_sweep", "single_large", "adaptive")
 GOLDEN_SEED = 2024
+# far apart, so the iterations of runs at nearby seeds share no input
+ITERATION_SEED_STRIDE = 1_000_003
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 _THETA = 5 * math.pi / 12
@@ -44,6 +46,16 @@ _SINGLE = {
 
 def nproc() -> int:
     return len(os.sched_getaffinity(0))
+
+
+def iteration_seed(seed: int, iteration: int) -> int:
+    """Seed of a run's ``iteration``-th CLI call; the first runs at ``seed``.
+
+    Where the adaptive ensemble stops depends on the seed by ~5 %, and that
+    workload's time and memory with it; a fresh seed per iteration lets a
+    run's median average that out.
+    """
+    return seed + ITERATION_SEED_STRIDE * iteration
 
 
 def config(workload: str, seed: int):
