@@ -7,12 +7,18 @@ z_r = <-1|psi_r><psi_r|+1>.  The ensemble estimators follow
 
     gamma = arg <z>,   W = |<z>| / |z(0)|,   |z(0)| = 1/2.
 
-Realizations are processed in fixed-size blocks; worker processes only
-distribute whole blocks, and the reduction always runs in block order, so
-results are bit-identical for any worker count.
+Realizations run in compute batches: each batch draws its rows from
+their own substreams, filters them with one OU recursion and evolves them
+with one ``evolve_batch`` call.  A batch holds about ``_BATCH_ELEMS`` noise
+samples in whole ``_BLOCK``-row blocks, fewer when ``workers`` share the
+rows; a process pool, if any, gets one task per batch.  ``_BLOCK`` is only
+the unit of the density-matrix reduction, which sums 64-row slices in
+block order, and of the adaptive mode's steps.  Per-row results do not
+depend on the batch a row sits in, so results are bit-identical for any
+worker count.
 
-A zero-noise reference run on the same grid accompanies every ensemble.
-Its phase gamma_ref carries the scheme-constant offset (non-adiabatic
+The zero-noise reference rides along as row 0 of the first batch.  Its
+phase gamma_ref carries the scheme-constant offset (non-adiabatic
 corrections plus any pulse-convention contribution) relative to the ideal
 loop phase; gamma_corrected subtracts that offset from gamma_mean.
 """
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,9 +50,13 @@ __all__ = [
 
 SCHEME_IDS = ("fid", "se", "cpmg", "se_balanced", "cpmg_balanced", "mirror")
 
-# realizations per work block; fixed so the arithmetic never depends on the
-# worker count
+# realizations per rho-reduction block and per adaptive step; fixed so the
+# arithmetic never depends on the batch size or the worker count
 _BLOCK = 64
+# noise samples per compute batch (32 MB of float64 paths)
+_BATCH_ELEMS = 1 << 22
+# resample indices drawn per bootstrap chunk
+_BOOTSTRAP_CHUNK_ELEMS = 1 << 20
 # substream namespaces under (master_seed, stream_key, ...)
 _NS_NOISE = 0
 _NS_BOOTSTRAP = 1
@@ -78,8 +90,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEME_IDS:
             raise ValueError(f"scheme must be one of {SCHEME_IDS}, got {self.scheme!r}")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        if self.realizations < 2:
+            raise ValueError(
+                f"realizations must be >= 2 (the bootstrap needs two), got {self.realizations}"
+            )
         if self.noise_axis not in ("longitudinal", "transverse"):
             raise ValueError(f"bad noise_axis {self.noise_axis!r}")
         if self.workers < 1:
@@ -136,28 +150,41 @@ def build_schedule(config: ExperimentConfig) -> sched.Schedule:
     raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
-def _noise_block(config, model, n_steps, dt, index_range):
-    """Noise paths for a contiguous range of realization indices."""
+def _noise_block(config, model, n_steps, dt, index_range, reference):
+    """Noise paths for realizations [lo, hi), behind a zero row if ``reference``."""
     lo, hi = index_range
-    out = np.empty((hi - lo, n_steps))
-    for r in range(lo, hi):
+    z = np.zeros((hi - lo + int(reference), n_steps))
+    for row, r in enumerate(range(lo, hi), start=int(reference)):
         rng = noise.substream(config.master_seed, config.stream_key, _NS_NOISE, r)
-        out[r - lo] = noise.sample_realization(model, n_steps, dt, rng).values
-    return out
+        rng.standard_normal(out=z[row])
+    return noise.ou_filter(model, z, dt)
 
 
 def _run_block(config, schedule, grid, model, index_range):
-    values = _noise_block(config, model, grid.total_steps, grid.dt, index_range)
-    states = propagator.evolve_batch(
-        schedule, values, grid, noise_axis=config.noise_axis
-    )
+    """Evolve one batch; returns (reference state or None, z, per-block rho sums).
+
+    The batch that starts at realization 0 carries the zero-noise run as
+    row 0.  The rho sums cover consecutive ``_BLOCK``-row slices of the
+    realizations.
+    """
+    reference = index_range[0] == 0
+    values = _noise_block(config, model, grid.total_steps, grid.dt, index_range, reference)
+    states = propagator.evolve_batch(schedule, values, grid, noise_axis=config.noise_axis)
+    ref_state = states[0] if reference else None
+    states = states[int(reference):]
     z = propagator.schedule_coherence(schedule, states)
-    rho_sum = np.einsum("ri,rj->ij", states, states.conj())
-    return z, rho_sum
+    rho_sums = [
+        np.einsum("ri,rj->ij", blk, blk.conj())
+        for blk in (states[lo:lo + _BLOCK] for lo in range(0, len(states), _BLOCK))
+    ]
+    return ref_state, z, rho_sums
 
 
-def _block_ranges(n, block=_BLOCK):
-    return [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+def _batch_rows(config, n_steps):
+    """Rows per compute batch: the element budget in whole blocks, split over workers."""
+    rows = max(_BLOCK, _BATCH_ELEMS // n_steps // _BLOCK * _BLOCK)
+    share = -(-config.realizations // config.workers)
+    return min(rows, -(-share // _BLOCK) * _BLOCK)
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
@@ -172,49 +199,36 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     grid = propagator.StepGrid.from_schedule(schedule, config.dt_divisor)
     model = config.params().noise_model()
 
-    # zero-noise reference on the same grid: scheme-constant phase offset
-    ref_state = propagator.evolve_batch(
-        schedule, np.zeros((1, grid.total_steps)), grid, noise_axis=config.noise_axis
-    )[0]
-    z_ref = propagator.schedule_coherence(schedule, ref_state)
-    gamma_ref = float(np.angle(z_ref))
-    w_ref = 2.0 * abs(z_ref)
-
-    ranges = _block_ranges(config.realizations)
+    # adaptive mode grows block by block: the stopping rule reads partial results
+    rows = _BLOCK if config.adaptive else _batch_rows(config, grid.total_steps)
+    n = config.realizations
+    ranges = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    parallel = config.workers > 1 and len(ranges) > 1 and not config.adaptive
     zs = []
     rho_sum = np.zeros((2, 2), dtype=complex)
     used = 0
-
-    def _accumulate(block_out):
-        nonlocal rho_sum, used
-        z, rho = block_out
-        zs.append(z)
-        rho_sum = rho_sum + rho
-        used += len(z)
-
-    if config.adaptive:
-        # sequential by construction: the stopping rule reads partial results
-        for rng_pair in ranges:
-            _accumulate(_run_block(config, schedule, grid, model, rng_pair))
-            if used >= 2 * _BLOCK:
-                z_all = np.concatenate(zs)
+    with (ProcessPoolExecutor(max_workers=config.workers) if parallel
+          else nullcontext()) as pool:
+        outputs = (pool.map if parallel else map)(
+            partial(_run_block, config, schedule, grid, model), ranges
+        )
+        for ref, z_batch, rho_sums in outputs:  # batch order
+            if ref is not None:
+                # zero-noise reference on the same grid: scheme-constant phase offset
+                z_ref = propagator.schedule_coherence(schedule, ref)
+            zs.append(z_batch)
+            for rho in rho_sums:
+                rho_sum = rho_sum + rho
+            used += len(z_batch)
+            if config.adaptive and used >= 2 * _BLOCK:
                 _, w_err = bootstrap_errors(
-                    z_all, config.bootstrap_resamples,
+                    np.concatenate(zs), config.bootstrap_resamples,
                     noise.substream(config.master_seed, config.stream_key, _NS_BOOTSTRAP),
                 )
                 if w_err < config.adaptive_target:
                     break
-    elif config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futs = [
-                pool.submit(_run_block, config, schedule, grid, model, rng_pair)
-                for rng_pair in ranges
-            ]
-            for fut in futs:  # submission order == block order
-                _accumulate(fut.result())
-    else:
-        for rng_pair in ranges:
-            _accumulate(_run_block(config, schedule, grid, model, rng_pair))
+    gamma_ref = float(np.angle(z_ref))
+    w_ref = 2.0 * abs(z_ref)
 
     z = np.concatenate(zs)
     z_mean = z.mean()
@@ -280,8 +294,13 @@ def bootstrap_errors(per_realization_coherences, resamples: int = 1000,
         rng = np.random.default_rng(0)
     z_mean = z.mean()
     gamma_hat = np.angle(z_mean)
-    idx = rng.integers(0, n, size=(resamples, n))
-    means = z[idx].mean(axis=1)
+    # resample rows in chunks: the index stream is the same, the memory is not
+    # resamples x n
+    means = np.empty(resamples, dtype=complex)
+    rows = max(1, _BOOTSTRAP_CHUNK_ELEMS // n)
+    for lo in range(0, resamples, rows):
+        idx = rng.integers(0, n, size=(min(rows, resamples - lo), n))
+        means[lo:lo + len(idx)] = z[idx].mean(axis=1)
     dgamma = wrap_angle(np.angle(means) - gamma_hat)
     w_vals = 2.0 * np.abs(means)
     return float(np.std(dgamma)), float(np.std(w_vals))

@@ -35,6 +35,7 @@ __all__ = [
     "ou_step",
     "correlation",
     "spectrum",
+    "ou_filter",
     "sample_realization",
     "write_trace_csv",
 ]
@@ -106,30 +107,42 @@ def spectrum(model: NoiseModel, omega) -> float:
     return out if out.ndim else float(out)
 
 
+def ou_filter(model: NoiseModel, z: np.ndarray, dt: float) -> np.ndarray:
+    """Turn standard normals into stationary OU paths, one path per row.
+
+    ``z`` has shape (rows, n_steps); row i of the result depends only on
+    row i of ``z``, so a batch gives the same paths as filtering each row
+    alone.  Column 0 is the stationary draw sqrt(alpha)*z[:, 0]; the rest
+    follow the exact update, run as one linear recursion per row.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    values = np.empty_like(z)
+    values[:, 0] = np.sqrt(model.alpha) * z[:, 0]
+    if z.shape[1] > 1:
+        decay = np.exp(-model.gamma * dt)
+        amp = np.sqrt(model.alpha * (1.0 - decay * decay))
+        # y[i] = amp*z[i] + decay*y[i-1], seeded so y[-1] == values[:, 0]
+        values[:, 1:], _ = lfilter(
+            [amp], [1.0, -decay], z[:, 1:], axis=1, zi=decay * values[:, :1]
+        )
+    return values
+
+
 def sample_realization(
     model: NoiseModel, n_steps: int, dt: float, rng: np.random.Generator
 ) -> NoiseRealization:
     """Sample a stationary trajectory of ``n_steps`` values on a dt grid.
 
-    Identical to iterating ``ou_step`` from ``ou_init``, but evaluated as a
-    single linear recursion so million-step paths are cheap.
+    Identical to iterating ``ou_step`` from ``ou_init``; it is the one-row
+    case of ``ou_filter``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    z = rng.standard_normal(n_steps)
-    k0 = np.sqrt(model.alpha) * z[0]
-    if n_steps == 1:
-        return NoiseRealization(dt=dt, values=np.array([k0]))
-    decay = np.exp(-model.gamma * dt)
-    amp = np.sqrt(model.alpha * (1.0 - decay * decay))
-    # y[i] = amp*z[i] + decay*y[i-1], seeded so y[-1] == k0
-    rest, _ = lfilter([amp], [1.0, -decay], z[1:], zi=[decay * k0])
-    values = np.empty(n_steps)
-    values[0] = k0
-    values[1:] = rest
-    return NoiseRealization(dt=dt, values=values)
+    z = rng.standard_normal((1, n_steps))
+    return NoiseRealization(dt=dt, values=ou_filter(model, z, dt)[0])
 
 
 def write_trace_csv(realization: NoiseRealization, path) -> None:

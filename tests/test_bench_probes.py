@@ -1,0 +1,40 @@
+"""The traced benchmark patches names of the package; they must all exist.
+
+``bench/spans.py`` wraps public functions (and ``noise.lfilter``) by name.
+A refactor that drops one makes every traced benchmark iteration fail, so
+installing the probes is checked here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import scipy.signal
+
+from berrydd import ensemble, noise
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probes_install_trace_and_restore():
+    spans = _load_spans()
+    rec = spans.install_berrydd_probes()
+    try:
+        # looked up through the module, where the probes patch it
+        cfg = ensemble.ExperimentConfig(scheme="fid", theta_a=1.0, beta=0.001,
+                                        eta=0.4, realizations=8)
+        ensemble.run_ensemble(cfg)
+        metrics = spans.layer_metrics(rec)
+    finally:
+        rec.restore()
+    assert noise.lfilter is scipy.signal.lfilter
+    assert metrics["ensemble.run_ensemble.calls"] == 1
+    assert metrics["ensemble.realizations_used"] == 8
+    assert metrics["propagator.propagate.calls"] == 1
+    assert metrics["noise.filter.busy_s"] > 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from berrydd import analytics as an
+from berrydd import propagator as prop
+from berrydd.cli import config_from_dict
 from berrydd.ensemble import (
     SCHEME_IDS,
     ExperimentConfig,
@@ -14,7 +16,7 @@ from berrydd.ensemble import (
     sweep_theta,
     wrap_angle,
 )
-from berrydd.noise import substream
+from berrydd.noise import sample_realization, substream
 
 THETA = 5 * math.pi / 12
 
@@ -44,6 +46,14 @@ class TestConfigValidation:
             make_config(realizations=0)
         with pytest.raises(ValueError):
             make_config(workers=0)
+
+    def test_rejects_single_realization(self):
+        # the bootstrap needs two; fail before any realization runs
+        with pytest.raises(ValueError, match="realizations"):
+            make_config(realizations=1)
+        data = dict(scheme="cpmg", theta_a=THETA, beta=0.001, eta=0.4, realizations=1)
+        with pytest.raises(ValueError, match="realizations"):
+            config_from_dict(data)
 
     def test_builds_all_schemes(self):
         for scheme in SCHEME_IDS:
@@ -118,6 +128,40 @@ class TestEstimators:
         assert res.chi_exact > 0
 
 
+def _block_route(config):
+    """The ensemble rebuilt from public pieces, one 64-row block at a time."""
+    schedule = build_schedule(config)
+    grid = prop.StepGrid.from_schedule(schedule, config.dt_divisor)
+    model = config.params().noise_model()
+    n, steps = config.realizations, grid.total_steps
+    zs = []
+    rho_sum = np.zeros((2, 2), dtype=complex)
+    for lo in range(0, n, 64):
+        # noise substreams live under namespace 0 of the point's key
+        values = np.stack([
+            sample_realization(
+                model, steps, grid.dt,
+                substream(config.master_seed, config.stream_key, 0, r),
+            ).values
+            for r in range(lo, min(lo + 64, n))
+        ])
+        states = prop.evolve_batch(schedule, values, grid)
+        zs.append(prop.schedule_coherence(schedule, states))
+        rho_sum = rho_sum + np.einsum("ri,rj->ij", states, states.conj())
+    ref = prop.evolve_batch(schedule, np.zeros((1, steps)), grid)[0]
+    z = np.concatenate(zs)
+    # the bootstrap stream is namespace 1
+    g_err, w_err = bootstrap_errors(
+        z, config.bootstrap_resamples,
+        substream(config.master_seed, config.stream_key, 1),
+    )
+    return dict(
+        coherences=z, mean_rho=rho_sum / n,
+        gamma_ref=float(np.angle(prop.schedule_coherence(schedule, ref))),
+        gamma_stderr=g_err, w_stderr=w_err,
+    )
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         a = run_ensemble(make_config(realizations=96))
@@ -134,6 +178,18 @@ class TestDeterminism:
         assert one.gamma_stderr == two.gamma_stderr
         assert one.w_stderr == two.w_stderr
         np.testing.assert_array_equal(one.coherences, two.coherences)
+
+    def test_engine_invariance_ragged_count(self):
+        # 200 is not a multiple of the 64-row block: batch layouts differ
+        # by worker count, results must not
+        runs = [run_ensemble(make_config(realizations=200, workers=w)) for w in (1, 2, 3)]
+        expect = _block_route(make_config(realizations=200))
+        for res in runs:
+            np.testing.assert_array_equal(res.coherences, expect["coherences"])
+            np.testing.assert_array_equal(res.mean_rho, expect["mean_rho"])
+            assert res.gamma_ref == expect["gamma_ref"]
+            assert res.gamma_stderr == expect["gamma_stderr"]
+            assert res.w_stderr == expect["w_stderr"]
 
     def test_different_seeds_differ(self):
         a = run_ensemble(make_config(realizations=64))
@@ -187,6 +243,17 @@ class TestBootstrap:
         a = bootstrap_errors(z, 500, substream(3, 0))
         b = bootstrap_errors(z, 500, substream(3, 0))
         assert a == b
+
+    def test_chunked_resampling_matches_one_draw(self):
+        # n = 5000 needs more than one chunk of resample rows; the result
+        # equals drawing every index at once from the same stream
+        rng = np.random.default_rng(15)
+        z = 0.5 * np.exp(1j * 0.2 * rng.standard_normal(5000))
+        idx = substream(5, 0).integers(0, len(z), size=(300, len(z)))
+        means = z[idx].mean(axis=1)
+        expect = (float(np.std(wrap_angle(np.angle(means) - np.angle(z.mean())))),
+                  float(np.std(2.0 * np.abs(means))))
+        assert bootstrap_errors(z, 300, substream(5, 0)) == expect
 
     def test_wraps_phase_deviations(self):
         # phases straddling the branch cut must not blow up the error

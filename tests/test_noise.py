@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from berrydd.noise import (
     NoiseModel,
     correlation,
+    ou_filter,
     ou_init,
     ou_step,
     sample_realization,
@@ -195,6 +198,25 @@ class TestDeterminism:
             k = k * decay + amp * z[i]
             expect.append(k)
         np.testing.assert_allclose(vals, expect, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.0, 10.0),
+    gamma=st.floats(1e-4, 50.0),
+    dt=st.floats(1e-3, 5.0),
+    n_steps=st.integers(1, 300),
+    rows=st.integers(1, 5),
+)
+def test_batched_filter_matches_rows(alpha, gamma, dt, n_steps, rows):
+    # a batch row is bit-for-bit the path sample_realization draws from
+    # the same substream
+    model = NoiseModel(alpha=alpha, gamma=gamma)
+    z = np.stack([substream(5, r).standard_normal(n_steps) for r in range(rows)])
+    batch = ou_filter(model, z, dt)
+    for r in range(rows):
+        one = sample_realization(model, n_steps, dt, substream(5, r)).values
+        assert np.array_equal(batch[r], one)
 
 
 def test_trace_csv_roundtrip(tmp_path):
