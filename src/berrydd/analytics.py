@@ -13,13 +13,23 @@ Conventions (B0-units, hbar = 1):
 
 ``chi_from_piecewise`` evaluates chi exactly (analytic double integral of
 the exponential kernel over every rectangle pair) and is the master
-oracle behind all the specific closed forms here.  ``chi_spectral``
-computes the same quantity for the standard switching patterns through
-the spectral overlap integral
+oracle behind all the specific closed forms here.
 
-    chi = int_0^inf (dw/pi) S3(w) F(w T) / w^2,
+``SCHEMES`` is the one registry of the decoupling schemes.  Per scheme id
+it holds the schedule builder, whether the scheme uses the companion angle
+theta_c, the low-frequency closed form of chi and that form's text for the
+CSV header.  ``prediction_for_scheme`` and the ``chi_*`` functions read it;
+their mode="full" is ``linear_response_chi`` of the built schedule.
 
-by adaptive quadrature; ``chi_closed`` gives its exact elementary form.
+The filter-function route (Cywinski et al., PRB 77, 174509 (2008)) starts
+from the switch times of the standard patterns in ``PATTERNS``: F(z) of
+``filter_function`` is derived from them, ``chi_spectral`` computes the
+spectral overlap integral
+
+    chi = int_0^inf (dw/pi) S3(w) F(w T) / w^2
+
+by adaptive quadrature, and ``chi_closed`` evaluates it exactly as the
+kernel oracle over the pattern's +-1 weights.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -37,6 +47,11 @@ from .noise import NoiseModel
 from .propagator import evolve_exact, schedule_coherence
 from .schedule import (
     Schedule,
+    build_balanced,
+    build_cpmg,
+    build_fid,
+    build_mirror,
+    build_se,
     linear_coefficients,
     solve_theta_c_exact,
 )
@@ -45,6 +60,10 @@ __all__ = [
     "DrivenParams",
     "DephasingPrediction",
     "SwitchingFunction",
+    "Scheme",
+    "SCHEMES",
+    "FID_WINDINGS",
+    "PATTERNS",
     "omega_splitting",
     "phase_terms",
     "tilt_angle",
@@ -103,28 +122,6 @@ def _atan_deficit(y: float) -> float:
         if term / (2 * k + 1) < 1e-25 * max(abs(total), 1e-300):
             break
     return total
-
-
-# time-domain kernels of the three standard switching patterns, in units of
-# alpha/gamma^2 as functions of beta = gamma*T
-def _kernel_fid(beta):
-    return _em1px(beta)
-
-
-def _kernel_se(beta):
-    return 4.0 * _em1px(beta / 2) - _em1px(beta)
-
-
-def _kernel_cpmg2(beta):
-    return (
-        4.0 * _em1px(beta / 4)
-        + 4.0 * _em1px(beta / 2)
-        - 4.0 * _em1px(3 * beta / 4)
-        + _em1px(beta)
-    )
-
-
-_KERNELS = {"fid": _kernel_fid, "se": _kernel_se, "cpmg2": _kernel_cpmg2}
 
 
 # -- parameter containers ------------------------------------------------------
@@ -216,16 +213,114 @@ def tilt_angle(kappa: float, theta: float) -> float:
     return math.atan2(w * math.sin(theta), 1.0 - w * math.cos(theta))
 
 
-# -- scheme dephasing rates (low-frequency closed forms + exact kernels) -------
+# -- the scheme registry ----------------------------------------------------------
+
+# windings of the free-evolution loop, so that T = 4 pi kappa as for every scheme
+FID_WINDINGS = 2
 
 
-def _warn_lowfreq(beta: float) -> None:
-    if beta > 0.1:
-        warnings.warn(
-            f"beta = {beta} > 0.1: the low-frequency closed form is out of its "
-            "validity range",
-            stacklevel=3,
-        )
+class Scheme(NamedTuple):
+    """The entry of one scheme id in :data:`SCHEMES`.
+
+    ``build(theta_a, kappa)`` returns the scheme's schedule; ``lowfreq(params)``
+    is its beta -> 0 closed form of chi and ``note`` that form as written in
+    the CSV header.  ``uses_theta_c`` marks the companion-angle echoes, whose
+    loop phase is -2 pi (cos theta_a + cos theta_c).
+    """
+
+    name: str
+    build: Callable
+    lowfreq: Callable
+    note: str
+    uses_theta_c: bool = False
+
+
+# squared weights in the closed forms: the dynamic weight cos(t), the
+# geometric weight sin^2(t)/kappa, and the free-evolution bracket (their
+# difference)
+def _dynamic2(p):
+    return math.cos(p.theta) ** 2
+
+
+def _geometric2(p):
+    return math.sin(p.theta) ** 4 / p.kappa**2
+
+
+def _bracket2(p):
+    c = math.cos(p.theta) - math.sin(p.theta) ** 2 / p.kappa
+    return c * c
+
+
+# each weight carries the beta -> 0 limit of its switching pattern's kernel:
+# eta/(2 beta) unswitched, eta/12 for the spin echo, eta/48 for the two-pulse echo
+_FID = Scheme(
+    "fid", lambda theta_a, kappa: build_fid(theta_a, FID_WINDINGS, kappa),
+    lambda p: _bracket2(p) * p.alpha_t2 / 2.0,
+    "(cos(t) - sin^2(t)/kappa)^2 * eta/(2*beta)",
+)
+_SE = Scheme(
+    "se", build_se,
+    lambda p: _dynamic2(p) * p.eta / 12.0 + _geometric2(p) * p.alpha_t2 / 2.0,
+    "cos^2(t)*eta/12 + (sin^4(t)/kappa^2) * eta/(2*beta)",
+)
+_CPMG = Scheme(
+    "cpmg", build_cpmg,
+    lambda p: _dynamic2(p) * p.eta / 48.0 + _geometric2(p) * p.alpha_t2 / 2.0,
+    "cos^2(t)*eta/48 + (sin^4(t)/kappa^2) * eta/(2*beta)",
+)
+_SE_BALANCED = Scheme(
+    "se_balanced", lambda theta_a, kappa: build_balanced(theta_a, kappa, base="se"),
+    lambda p: _bracket2(p) * p.eta / 12.0,
+    "(cos(ta) - sin^2(ta)/kappa)^2 * eta/12", uses_theta_c=True,
+)
+_CPMG_BALANCED = Scheme(
+    "cpmg_balanced", lambda theta_a, kappa: build_balanced(theta_a, kappa, base="cpmg"),
+    lambda p: _bracket2(p) * p.eta / 48.0,
+    "(cos(ta) - sin^2(ta)/kappa)^2 * eta/48", uses_theta_c=True,
+)
+_MIRROR = Scheme(
+    "mirror", build_mirror,
+    lambda p: _dynamic2(p) * p.eta / 48.0 + _geometric2(p) * p.eta / 12.0,
+    "cos^2(ta)*eta/48 + (sin^4(ta)/kappa^2) * eta/12",
+)
+
+#: every scheme by id, in the order the CLI and the tests list them
+SCHEMES = {s.name: s for s in (_FID, _SE, _CPMG, _SE_BALANCED, _CPMG_BALANCED, _MIRROR)}
+
+
+def prediction_for_scheme(
+    scheme: str, params: DrivenParams, mode: str = "lowfreq"
+) -> DephasingPrediction:
+    """Dephasing prediction for a named scheme id.
+
+    mode="lowfreq" is the scheme's beta -> 0 closed form and warns above
+    beta = 0.1; mode="full" is the exact Gaussian exponent of the weights
+    of its schedule (:func:`linear_response_chi`), valid at any beta.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme id {scheme!r}")
+    entry = SCHEMES[scheme]
+    if mode == "full":
+        schedule = entry.build(params.theta, params.kappa)
+        chi = linear_response_chi(schedule, params.kappa, params.noise_model())
+    elif mode == "lowfreq":
+        if params.beta > 0.1:
+            warnings.warn(
+                f"beta = {params.beta} > 0.1: the low-frequency closed form is out "
+                "of its validity range",
+                stacklevel=2,
+            )
+        chi = entry.lowfreq(params)
+    else:
+        raise ValueError(f"mode must be 'full' or 'lowfreq', got {mode!r}")
+    if entry.uses_theta_c:
+        theta_c = params.theta_c
+        if theta_c is None:
+            theta_c = solve_theta_c_exact(params.theta, params.kappa)
+        gamma = -2.0 * math.pi * (math.cos(params.theta) + math.cos(theta_c))
+    else:
+        gamma = -_FOUR_PI * math.cos(params.theta)
+    return DephasingPrediction(chi=chi, gamma_expected=gamma, lam=depolarization_lambda(params))
 
 
 def chi_fid(params: DrivenParams) -> DephasingPrediction:
@@ -234,45 +329,17 @@ def chi_fid(params: DrivenParams) -> DephasingPrediction:
     The bracket is the square of the constant noise weight; its cross term
     is the drive-induced reduction of the plain quadratic-in-cos rate.
     """
-    _warn_lowfreq(params.beta)
-    c = math.cos(params.theta) - math.sin(params.theta) ** 2 / params.kappa
-    chi = c * c * params.alpha_t2 / 2.0
-    return DephasingPrediction(
-        chi=chi, gamma_expected=-_FOUR_PI * math.cos(params.theta),
-        lam=depolarization_lambda(params),
-    )
+    return prediction_for_scheme(_FID.name, params)
 
 
 def chi_se(params: DrivenParams, mode: str = "lowfreq") -> DephasingPrediction:
-    """Spin-echo dephasing.
+    """Spin-echo dephasing: chi = cos^2 * eta/12 + (sin^4/kappa^2) * eta/(2 beta).
 
-    mode="full": exact kernel expression, valid at any beta; the reversed
-    winding keeps the geometric weight un-echoed, so that term carries the
-    free-evolution kernel.  mode="lowfreq": chi = cos^2 * eta/12 +
-    (sin^4/kappa^2) * eta/(2 beta).
+    The reversed winding keeps the geometric weight un-echoed, so that term
+    carries the free-evolution kernel.  mode="full" is the exact exponent
+    at any beta (:func:`prediction_for_scheme`).
     """
-    ct2 = math.cos(params.theta) ** 2
-    st4 = math.sin(params.theta) ** 4
-    k2 = params.kappa**2
-    if mode == "full":
-        pref = params.eta / params.beta**3
-        chi = pref * (ct2 * _kernel_se(params.beta) + (st4 / k2) * _kernel_fid(params.beta))
-    elif mode == "lowfreq":
-        _warn_lowfreq(params.beta)
-        chi = ct2 * params.eta / 12.0 + (st4 / k2) * params.alpha_t2 / 2.0
-    else:
-        raise ValueError(f"mode must be 'full' or 'lowfreq', got {mode!r}")
-    return DephasingPrediction(
-        chi=chi, gamma_expected=-_FOUR_PI * math.cos(params.theta),
-        lam=depolarization_lambda(params),
-    )
-
-
-def _cross_cpmg2_fid(beta):
-    # -(1/2) iint h(s) e^{-|s-s'|} ds ds' over [0, beta]^2: overlap of the
-    # two-pulse pattern h with a constant weight.  It equals
-    # 1 - 2e^{-b/4} + 2e^{-3b/4} - e^{-b}; the product form is stable at small b
-    return -math.expm1(-beta / 2) * math.expm1(-beta / 4) ** 2
+    return prediction_for_scheme(_SE.name, params, mode)
 
 
 def chi_cpmg(params: DrivenParams, mode: str = "lowfreq") -> DephasingPrediction:
@@ -280,30 +347,11 @@ def chi_cpmg(params: DrivenParams, mode: str = "lowfreq") -> DephasingPrediction
     geometric term identical (the geometric weight never switches sign).
 
     mode="full" also keeps the cross term between the echoed dynamic weight
-    and the unswitched geometric weight,
-    2 cos(theta) (sin^2(theta)/kappa) (1 - e^{-beta/2})(1 - e^{-beta/4})^2
-    in units of eta/beta^3.  The pattern is symmetric in time, so unlike
-    the spin echo this overlap does not vanish; it is O(beta) relative to
-    the geometric term and is dropped by the low-frequency form.
+    and the unswitched geometric weight.  The pattern is symmetric in time,
+    so unlike the spin echo this overlap does not vanish; it is O(beta)
+    relative to the geometric term and is dropped by the low-frequency form.
     """
-    ct2 = math.cos(params.theta) ** 2
-    st4 = math.sin(params.theta) ** 4
-    k2 = params.kappa**2
-    if mode == "full":
-        pref = params.eta / params.beta**3
-        cross = (2.0 * math.cos(params.theta) * math.sin(params.theta) ** 2
-                 / params.kappa * _cross_cpmg2_fid(params.beta))
-        chi = pref * (ct2 * _kernel_cpmg2(params.beta)
-                      + (st4 / k2) * _kernel_fid(params.beta) + cross)
-    elif mode == "lowfreq":
-        _warn_lowfreq(params.beta)
-        chi = ct2 * params.eta / 48.0 + (st4 / k2) * params.alpha_t2 / 2.0
-    else:
-        raise ValueError(f"mode must be 'full' or 'lowfreq', got {mode!r}")
-    return DephasingPrediction(
-        chi=chi, gamma_expected=-_FOUR_PI * math.cos(params.theta),
-        lam=depolarization_lambda(params),
-    )
+    return prediction_for_scheme(_CPMG.name, params, mode)
 
 
 def chi_balanced(params: DrivenParams, base: str = "cpmg", mode: str = "lowfreq") -> DephasingPrediction:
@@ -313,28 +361,10 @@ def chi_balanced(params: DrivenParams, base: str = "cpmg", mode: str = "lowfreq"
     base, 1/4 for the two-pulse base}; with mode="full" the corresponding
     exact echo kernel is used instead of its beta^3 leading term.
     """
-    theta_c = params.theta_c
-    if theta_c is None:
-        theta_c = solve_theta_c_exact(params.theta, params.kappa)
-    c = math.cos(params.theta) - math.sin(params.theta) ** 2 / params.kappa
-    if base == "se":
-        kern, factor = _kernel_se, 1.0
-    elif base == "cpmg":
-        kern, factor = _kernel_cpmg2, 0.25
-    else:
+    scheme = f"{base}_balanced"
+    if scheme not in SCHEMES:
         raise ValueError(f"base must be 'se' or 'cpmg', got {base!r}")
-    if mode == "full":
-        chi = c * c * (params.eta / params.beta**3) * kern(params.beta)
-    elif mode == "lowfreq":
-        _warn_lowfreq(params.beta)
-        chi = c * c * params.eta / 12.0 * factor
-    else:
-        raise ValueError(f"mode must be 'full' or 'lowfreq', got {mode!r}")
-    return DephasingPrediction(
-        chi=chi,
-        gamma_expected=-2.0 * math.pi * (math.cos(params.theta) + math.cos(theta_c)),
-        lam=depolarization_lambda(params),
-    )
+    return prediction_for_scheme(scheme, params, mode)
 
 
 def chi_mirror(params: DrivenParams, mode: str = "lowfreq") -> DephasingPrediction:
@@ -344,21 +374,7 @@ def chi_mirror(params: DrivenParams, mode: str = "lowfreq") -> DephasingPredicti
     geometric weight the spin-echo pattern, so the geometric term gains a
     factor beta/6 over the plain echoes.
     """
-    ct2 = math.cos(params.theta) ** 2
-    st4 = math.sin(params.theta) ** 4
-    k2 = params.kappa**2
-    if mode == "full":
-        pref = params.eta / params.beta**3
-        chi = pref * (ct2 * _kernel_cpmg2(params.beta) + (st4 / k2) * _kernel_se(params.beta))
-    elif mode == "lowfreq":
-        _warn_lowfreq(params.beta)
-        chi = ct2 * params.eta / 48.0 + (st4 / k2) * params.eta / 12.0
-    else:
-        raise ValueError(f"mode must be 'full' or 'lowfreq', got {mode!r}")
-    return DephasingPrediction(
-        chi=chi, gamma_expected=-_FOUR_PI * math.cos(params.theta),
-        lam=depolarization_lambda(params),
-    )
+    return prediction_for_scheme(_MIRROR.name, params, mode)
 
 
 # -- the kernel oracle ---------------------------------------------------------
@@ -459,34 +475,7 @@ def quasistatic_coherence(schedule: Schedule, model: NoiseModel) -> complex:
     return complex(np.dot(weights, z) / math.sqrt(math.pi))
 
 
-# -- filter-function route -----------------------------------------------------
-
-# cosine form F(z) = a0 + sum a_j cos(c_j z); used for the oscillatory tail
-_COSINE_FORM = {
-    "fid": (1.0, ((-1.0, 1.0),)),
-    "se": (3.0, ((-4.0, 0.5), (1.0, 1.0))),
-    "cpmg2": (5.0, ((-4.0, 0.25), (-4.0, 0.5), (4.0, 0.75), (-1.0, 1.0))),
-}
-
-
-def filter_function(sequence: str, z):
-    """Spectral weight F(z) of the switching pattern, z = omega*T.
-
-    The two-pulse pattern is evaluated in the product form
-    32 sin^4(z/8) sin^2(z/4), identical to the tangent-free ratio
-    8 sin^4(z/8) sin^2(z/2) / cos^2(z/4) but regular at its removable
-    singularities.
-    """
-    z = np.asarray(z, dtype=float)
-    if sequence == "fid":
-        out = 2.0 * np.sin(z / 2) ** 2
-    elif sequence == "se":
-        out = 8.0 * np.sin(z / 4) ** 4
-    elif sequence == "cpmg2":
-        out = 32.0 * np.sin(z / 8) ** 4 * np.sin(z / 4) ** 2
-    else:
-        raise ValueError(f"sequence must be 'fid', 'se' or 'cpmg2', got {sequence!r}")
-    return out if out.ndim else float(out)
+# -- filter-function route (Cywinski et al., PRB 77, 174509 (2008)) ---------------
 
 
 @dataclass(frozen=True)
@@ -512,24 +501,56 @@ class SwitchingFunction:
         out = np.where(idx % 2 == 0, 1.0, -1.0)
         return out if out.ndim else float(out)
 
+    def weights(self) -> list:
+        """(h, duration) of each constant piece, as :func:`chi_from_piecewise` takes them."""
+        return [(1.0 if k % 2 == 0 else -1.0, b - a)
+                for k, (a, b) in enumerate(zip(self.times, self.times[1:]))]
+
     def integral(self) -> float:
         """int_0^T h(t) dt."""
-        total = 0.0
-        for k, (a, b) in enumerate(zip(self.times, self.times[1:])):
-            total += (b - a) * (1.0 if k % 2 == 0 else -1.0)
-        return total
+        return sum(h * d for h, d in self.weights())
+
+    def filter(self, z):
+        """Spectral weight F(z) = |omega H(omega)|^2 / 2 at z = omega*T.
+
+        H is the Fourier transform of h.  A piece of sign h_k, duration d_k
+        and midpoint m_k adds h_k 2 sin(omega d_k/2) e^{i omega m_k} to
+        omega H; summing these sines keeps F accurate as z -> 0, where the
+        expanded cosine form of F cancels.
+        """
+        u = np.asarray(self.times) / self.total_time
+        h = np.array([w for w, _ in self.weights()])
+        z = np.asarray(z, dtype=float)
+        amp = h * 2.0 * np.sin(z[..., None] * np.diff(u) / 2.0)
+        phase = z[..., None] * (u[1:] + u[:-1]) / 2.0
+        out = (np.sum(amp * np.cos(phase), axis=-1) ** 2
+               + np.sum(amp * np.sin(phase), axis=-1) ** 2) / 2.0
+        return out if out.ndim else float(out)
+
+
+#: switch times of the standard patterns as fractions of T: free evolution,
+#: spin echo and the two-pulse echo
+PATTERNS = {
+    "fid": (0.0, 1.0),
+    "se": (0.0, 0.5, 1.0),
+    "cpmg2": (0.0, 0.25, 0.75, 1.0),
+}
 
 
 def switching_function(sequence: str, total_time: float = 1.0) -> SwitchingFunction:
     """Switching pattern of the standard sequences over [0, T]."""
-    t = total_time
-    if sequence == "fid":
-        return SwitchingFunction((0.0, t))
-    if sequence == "se":
-        return SwitchingFunction((0.0, t / 2, t))
-    if sequence == "cpmg2":
-        return SwitchingFunction((0.0, t / 4, 3 * t / 4, t))
-    raise ValueError(f"sequence must be 'fid', 'se' or 'cpmg2', got {sequence!r}")
+    if sequence not in PATTERNS:
+        raise ValueError(f"sequence must be one of {tuple(PATTERNS)}, got {sequence!r}")
+    return SwitchingFunction(tuple(total_time * u for u in PATTERNS[sequence]))
+
+
+def filter_function(sequence: str, z):
+    """Spectral weight F(z) of a standard switching pattern, z = omega*T.
+
+    Derived from the pattern's switch times; for fid, se and cpmg2 it
+    equals 2 sin^2(z/2), 8 sin^4(z/4) and 32 sin^4(z/8) sin^2(z/4).
+    """
+    return switching_function(sequence).filter(z)
 
 
 def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
@@ -542,17 +563,26 @@ def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
     filter oscillations; the tail splits into an elementary monotone part
     and Fourier-weighted integrals handled by the oscillatory rule.
     """
-    if sequence not in _COSINE_FORM:
-        raise ValueError(f"sequence must be 'fid', 'se' or 'cpmg2', got {sequence!r}")
+    sw = switching_function(sequence)
     beta = noise.gamma * total_time
     eta = noise.alpha * noise.gamma * total_time**3
     z0 = max(16.0 * math.pi, 4.0 * beta)
+
+    # for the tail, F(z) = |sum_j e_j e^{i z u_j}|^2 / 2 over the switch points
+    # u_j, with e_j the jump of h there, expands into a0 + sum_c a_c cos(c z)
+    h = [0.0, *(w for w, _ in sw.weights()), 0.0]
+    jumps = [a - b for a, b in zip(h, h[1:])]
+    a0 = sum(e * e for e in jumps) / 2.0
+    cos_terms = {}
+    for j, (uj, ej) in enumerate(zip(sw.times, jumps)):
+        for uk, ek in zip(sw.times[j + 1:], jumps[j + 1:]):
+            cos_terms[uk - uj] = cos_terms.get(uk - uj, 0.0) + ej * ek
 
     def g(z):
         return 1.0 / (z * z * (z * z + beta * beta))
 
     def head(z):
-        return filter_function(sequence, z) * g(z)
+        return sw.filter(z) * g(z)
 
     pts = sorted({beta, 2.0 * beta, 0.5, 1.0} | {k * math.pi for k in range(1, 16)})
     pts = [p for p in pts if 0.0 < p < z0]
@@ -561,9 +591,8 @@ def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
         try:
             i_head, err_head = quad(head, 0.0, z0, points=pts, limit=400,
                                     epsabs=0.0, epsrel=1e-11)
-            a0, cos_terms = _COSINE_FORM[sequence]
             total = i_head + a0 * _atan_deficit(beta / z0) / beta**3
-            for aj, cj in cos_terms:
+            for cj, aj in cos_terms.items():
                 val, _ = quad(g, z0, np.inf, weight="cos", wvar=cj, limit=400,
                               epsabs=1e-16, epsrel=1e-13)
                 total += aj * val
@@ -576,11 +605,12 @@ def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
 
 
 def chi_closed(sequence: str, noise: NoiseModel, total_time: float) -> float:
-    """Exact elementary form of the spectral overlap for the standard patterns."""
-    if sequence not in _KERNELS:
-        raise ValueError(f"sequence must be 'fid', 'se' or 'cpmg2', got {sequence!r}")
-    beta = noise.gamma * total_time
-    return (noise.alpha / noise.gamma**2) * _KERNELS[sequence](beta)
+    """Exact elementary form of the spectral overlap for the standard patterns.
+
+    It is the kernel oracle :func:`chi_from_piecewise` over the pattern's
+    +-1 weights.
+    """
+    return chi_from_piecewise(switching_function(sequence, total_time).weights(), noise)
 
 
 # -- transverse noise and depolarization ----------------------------------------
@@ -671,32 +701,3 @@ def crossover_theta(beta: float, kappa: float) -> float:
     a = 6.0 / (beta * kappa * kappa)
     u = ((2.0 * a + 1.0) - math.sqrt(4.0 * a + 1.0)) / (2.0 * a)
     return math.acos(math.sqrt(u))
-
-
-# -- scheme dispatch -------------------------------------------------------------
-
-
-def prediction_for_scheme(
-    scheme: str, params: DrivenParams, mode: str = "lowfreq"
-) -> DephasingPrediction:
-    """Closed-form prediction for a named scheme id."""
-    if scheme == "fid":
-        if mode == "full":
-            c = math.cos(params.theta) - math.sin(params.theta) ** 2 / params.kappa
-            chi = c * c * (params.eta / params.beta**3) * _kernel_fid(params.beta)
-            return DephasingPrediction(
-                chi=chi, gamma_expected=-_FOUR_PI * math.cos(params.theta),
-                lam=depolarization_lambda(params),
-            )
-        return chi_fid(params)
-    if scheme == "se":
-        return chi_se(params, mode=mode)
-    if scheme == "cpmg":
-        return chi_cpmg(params, mode=mode)
-    if scheme == "se_balanced":
-        return chi_balanced(params, base="se", mode=mode)
-    if scheme == "cpmg_balanced":
-        return chi_balanced(params, base="cpmg", mode=mode)
-    if scheme == "mirror":
-        return chi_mirror(params, mode=mode)
-    raise ValueError(f"unknown scheme id {scheme!r}")

@@ -23,13 +23,15 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__, analytics, ensemble
 from .ensemble import ExperimentConfig, run_ensemble, sweep_beta, sweep_theta
 from .noise import NoiseModel
+from .schedule import KAPPA_WARN
 
 __all__ = ["main", "RunManifest", "write_results_csv", "rerun_manifest"]
 
@@ -49,11 +51,7 @@ _HEADER_NOTES = [
     "# gamma_theory: loop geometric phase difference, sum over segments of 2*pi*l_k*s_k*cos(theta_k),",
     "#   reduced to (-pi, pi]; gamma_theory_raw is the unreduced value",
     "# W_theory = exp(-chi_theory); chi_theory is the scheme's closed-form low-frequency dephasing exponent:",
-    "#   fid:           (cos(t) - sin^2(t)/kappa)^2 * eta/(2*beta)",
-    "#   se:            cos^2(t)*eta/12 + (sin^4(t)/kappa^2) * eta/(2*beta)",
-    "#   cpmg:          cos^2(t)*eta/48 + (sin^4(t)/kappa^2) * eta/(2*beta)",
-    "#   balanced echo: (cos(ta) - sin^2(ta)/kappa)^2 * eta/12 * {1 se, 1/4 cpmg}",
-    "#   mirror:        cos^2(ta)*eta/48 + (sin^4(ta)/kappa^2) * eta/12",
+    *(f"#   {name + ':':<15}{scheme.note}" for name, scheme in analytics.SCHEMES.items()),
     "#   (for beta > 0.1 the exact exponential-kernel form replaces the low-frequency limit)",
     "# chi_exact_theory: exact Gaussian linear-response exponent (piecewise-weight double integral",
     "#   of the exponential correlation kernel); W_exact_theory = exp(-chi_exact_theory)",
@@ -131,7 +129,8 @@ def _write_view_csv(results, path, column: str, schemes) -> None:
             for s in schemes:
                 row += [by_scheme[s][i].gamma_mean, by_scheme[s][i].gamma_stderr]
             row.append(float(ensemble.wrap_angle(-4.0 * math.pi * math.cos(x))))
-            bal = next((by_scheme[s][i] for s in schemes if "balanced" in s), None)
+            bal = next((by_scheme[s][i] for s in schemes
+                        if analytics.SCHEMES[s].uses_theta_c), None)
             row.append(
                 float(ensemble.wrap_angle(bal.prediction.gamma_expected))
                 if bal else float("nan")
@@ -190,14 +189,10 @@ def _manifest_for(command, config: ExperimentConfig, outputs, notes):
 
 # -- config validation ---------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "scheme": str, "theta_a": float, "beta": float, "eta": float,
-    "kappa": float, "realizations": int, "master_seed": int,
-    "dt_divisor": int, "noise_axis": str, "fid_windings": int,
-    "workers": int, "stream_key": int, "adaptive": bool,
-    "adaptive_target": float, "bootstrap_resamples": int,
-}
-_REQUIRED = ("scheme", "theta_a", "beta", "eta")
+# the config fields and their types, read from ExperimentConfig; the fields
+# without a default are required
+_CONFIG_FIELDS = get_type_hints(ExperimentConfig)
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -209,6 +204,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for name, value in data.items():
         if name == "b0_hz":  # physical-unit annotation, not used internally
+            continue
+        if name == "fid_windings":  # older manifests record the fixed winding count
+            if value != analytics.FID_WINDINGS:
+                errors.append(f"field 'fid_windings' must be {analytics.FID_WINDINGS}, "
+                              f"got {value!r}")
             continue
         if name not in _CONFIG_FIELDS:
             errors.append(f"unknown field '{name}'")
@@ -228,9 +228,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def _check_config_warnings(cfg: ExperimentConfig) -> list:
     notes = []
-    if cfg.kappa < 5:
+    if cfg.kappa < KAPPA_WARN:
         notes.append(
-            f"kappa = {cfg.kappa} < 5: barely adiabatic; closed forms degrade"
+            f"kappa = {cfg.kappa} < {KAPPA_WARN}: barely adiabatic; closed forms degrade"
         )
     if cfg.noise_axis == "transverse" and cfg.scheme == "mirror":
         notes.append(
@@ -250,8 +250,8 @@ def _cmd_theta_sweep(args) -> int:
     if args.theta_grid:
         grid = np.array([float(x) for x in args.theta_grid.split(",")])
     base = ExperimentConfig(
-        scheme="cpmg", theta_a=float(grid[0]), beta=args.beta, eta=args.eta,
-        kappa=args.kappa, realizations=args.realizations,
+        scheme=ensemble.THETA_SWEEP_SCHEMES[0], theta_a=float(grid[0]), beta=args.beta,
+        eta=args.eta, kappa=args.kappa, realizations=args.realizations,
         master_seed=args.seed, dt_divisor=args.dt_divisor,
         noise_axis=args.noise_axis, workers=args.workers,
     )
@@ -274,7 +274,7 @@ def _cmd_beta_sweep(args) -> int:
     if args.beta_grid:
         grid = np.array([float(x) for x in args.beta_grid.split(",")])
     base = ExperimentConfig(
-        scheme="cpmg", theta_a=args.theta, beta=float(grid[0]),
+        scheme=ensemble.THETA_SWEEP_SCHEMES[0], theta_a=args.theta, beta=float(grid[0]),
         eta=400.0 * float(grid[0]), kappa=args.kappa,
         realizations=args.realizations, master_seed=args.seed,
         dt_divisor=args.dt_divisor, noise_axis=args.noise_axis,
@@ -298,13 +298,14 @@ def _cmd_filters(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     zs = np.linspace(1e-6, args.z_max, args.z_points)
+    names = tuple(analytics.PATTERNS)
     lines = [
         "# filter-function tables: F(z)/z^2 per switching pattern, z = omega*T",
         "# fid: 2 sin^2(z/2); se: 8 sin^4(z/4); cpmg2: 32 sin^4(z/8) sin^2(z/4)",
-        "z,fid,se,cpmg2",
+        ",".join(["z", *names]),
     ]
     for z in zs:
-        vals = [analytics.filter_function(s, z) / z**2 for s in ("fid", "se", "cpmg2")]
+        vals = [analytics.filter_function(s, z) / z**2 for s in names]
         lines.append(",".join(_fmt(float(v)) for v in [z, *vals]))
     fpath = out / "filter_functions.csv"
     fpath.write_text("\n".join(lines) + "\n")
@@ -314,12 +315,12 @@ def _cmd_filters(args) -> int:
         "# closed-form dephasing vs beta in units of alpha*T^2/2 (exact exponential kernels),",
         "# i.e. 2*K(beta)/beta^2 with K the pattern kernel; the *_lowfreq columns are the",
         "# leading beta->0 factors {1, beta/6, beta/24}",
-        "beta,fid,se,cpmg2,fid_lowfreq,se_lowfreq,cpmg2_lowfreq",
+        ",".join(["beta", *names, *(f"{s}_lowfreq" for s in names)]),
     ]
     for b in betas:
         model = NoiseModel(alpha=1.0, gamma=float(b))
         row = [float(b)]
-        for s in ("fid", "se", "cpmg2"):
+        for s in names:
             # chi_closed = K(beta)/beta^2 here; normalize by alpha*T^2/2 = 1/2
             row.append(2.0 * analytics.chi_closed(s, model, 1.0))
         row += [1.0, float(b) / 6.0, float(b) / 24.0]

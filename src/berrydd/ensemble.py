@@ -48,7 +48,7 @@ __all__ = [
     "wrap_angle",
 ]
 
-SCHEME_IDS = ("fid", "se", "cpmg", "se_balanced", "cpmg_balanced", "mirror")
+SCHEME_IDS = tuple(analytics.SCHEMES)
 
 # realizations per rho-reduction block and per adaptive step; fixed so the
 # arithmetic never depends on the batch size or the worker count
@@ -80,7 +80,6 @@ class ExperimentConfig:
     master_seed: int = 2024
     dt_divisor: int = 10
     noise_axis: str = "longitudinal"
-    fid_windings: int = 2
     workers: int = 1
     stream_key: int = 0
     adaptive: bool = False
@@ -101,7 +100,7 @@ class ExperimentConfig:
 
     def params(self) -> analytics.DrivenParams:
         theta_c = None
-        if self.scheme in ("se_balanced", "cpmg_balanced"):
+        if analytics.SCHEMES[self.scheme].uses_theta_c:
             theta_c = sched.solve_theta_c_exact(self.theta_a, self.kappa)
         return analytics.DrivenParams(
             kappa=self.kappa, theta=self.theta_a, beta=self.beta, eta=self.eta,
@@ -135,19 +134,8 @@ class EnsembleResult:
 
 
 def build_schedule(config: ExperimentConfig) -> sched.Schedule:
-    if config.scheme == "fid":
-        return sched.build_fid(config.theta_a, config.fid_windings, config.kappa)
-    if config.scheme == "se":
-        return sched.build_se(config.theta_a, config.kappa)
-    if config.scheme == "cpmg":
-        return sched.build_cpmg(config.theta_a, config.kappa)
-    if config.scheme == "se_balanced":
-        return sched.build_balanced(config.theta_a, config.kappa, base="se")
-    if config.scheme == "cpmg_balanced":
-        return sched.build_balanced(config.theta_a, config.kappa, base="cpmg")
-    if config.scheme == "mirror":
-        return sched.build_mirror(config.theta_a, config.kappa)
-    raise ValueError(f"unknown scheme {config.scheme!r}")
+    """The configured scheme's schedule, from its entry in ``analytics.SCHEMES``."""
+    return analytics.SCHEMES[config.scheme].build(config.theta_a, config.kappa)
 
 
 def _noise_block(config, model, n_steps, dt, index_range, reference):

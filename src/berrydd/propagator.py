@@ -168,16 +168,16 @@ def swap_pulse(n) -> np.ndarray:
     n.sigma and exchanges its eigenstates; m = x when n is along z.
     """
     n = np.asarray(n, dtype=float)
-    mx, my = -n[1], n[0]
-    r = math.hypot(mx, my)
-    if r < 1e-15:
-        return _SX.copy()
-    return (mx / r) * _SX + (my / r) * _SY
+    # m = (-sin phi, cos phi, 0) with phi the azimuth of n; -pi/2 gives m = x
+    phi = math.atan2(n[1], n[0]) if math.hypot(n[0], n[1]) >= 1e-15 else -0.5 * math.pi
+    return np.array(_pulse(phi, *_ID))
 
 
-def _pulse_at_phi(phi: float) -> np.ndarray:
-    # swap_pulse for the cone azimuth phi: m = (-sin phi, cos phi, 0)
-    return -math.sin(phi) * _SX + math.cos(phi) * _SY
+def _pulse(phi, p0, p1):
+    """The pulse -sin(phi) sx + cos(phi) sy = [[0, -i e^{-i phi}], [i e^{i phi}, 0]]
+    applied to the state components (p0, p1)."""
+    f = np.exp(1j * phi)
+    return -1j * np.conj(f) * p1, 1j * f * p0
 
 
 def readout_coherence(state_or_rho, n_final) -> complex:
@@ -197,21 +197,14 @@ def _direction(theta, phi):
     )
 
 
-def evolve_batch(
-    schedule: Schedule,
-    noise_values: np.ndarray,
-    grid: StepGrid,
-    initial: np.ndarray = None,
-    noise_axis: str = "longitudinal",
-) -> np.ndarray:
-    """Evolve a batch of realizations through the schedule.
+def _states(schedule, noise_values, grid, initial, noise_axis):
+    """The stepper behind evolve_batch and bloch_trace: yield (p0, p1) arrays.
 
-    noise_values has shape (R, total_steps): one piecewise-constant noise
-    path per realization.  Returns the (R, 2) final states.  All
-    realizations share the deterministic drive; each state is advanced per
-    step with the exact constant-field exponential.
+    noise_values has shape (R, total_steps).  The first yield is the
+    initial state, then one per step; a pulse that ends a segment (or the
+    schedule) is applied before the state after that step is yielded.
+    Flips apply no unitary.
     """
-    noise_values = np.atleast_2d(np.asarray(noise_values, dtype=float))
     nreal, nsteps = noise_values.shape
     if nsteps != grid.total_steps:
         raise ValueError(
@@ -219,25 +212,27 @@ def evolve_batch(
         )
     if len(grid.steps_per_segment) != len(schedule.segments):
         raise ValueError("grid does not match the schedule's segment count")
+    longitudinal = noise_axis == "longitudinal"
+    if not longitudinal and noise_axis != "transverse":
+        raise ValueError(f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
     first = schedule.segments[0]
     if initial is None:
         initial = initial_superposition(_direction(first.theta, schedule.phi0))
     psi0 = np.asarray(initial, dtype=complex)
     p0 = np.full(nreal, psi0[0], dtype=complex)
     p1 = np.full(nreal, psi0[1], dtype=complex)
+    yield p0, p1
 
     dt = grid.dt
     phis = schedule.segment_phi_starts()
-    longitudinal = noise_axis == "longitudinal"
-    if not longitudinal and noise_axis != "transverse":
-        raise ValueError(f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
-
+    swaps = (*schedule.boundaries, schedule.final)
     i = 0
     for k, seg in enumerate(schedule.segments):
         omega_rf = seg.winding_sign * schedule.omega_b
         st, ct = math.sin(seg.theta), math.cos(seg.theta)
         phi0 = phis[k]
-        for j in range(grid.steps_per_segment[k]):
+        last = grid.steps_per_segment[k] - 1
+        for j in range(last + 1):
             phi_mid = phi0 + omega_rf * (j + 0.5) * dt
             cphi, sphi = math.cos(phi_mid), math.sin(phi_mid)
             kval = noise_values[:, i]
@@ -262,17 +257,28 @@ def evolve_batch(
             n1 = (sy - 1j * sx) * p0 + (c + 1j * sz) * p1
             p0, p1 = n0, n1
             i += 1
-        phi_end = phi0 + 2.0 * math.pi * float(seg.l)
-        kind = schedule.boundaries[k] if k < len(schedule.boundaries) else None
-        if kind == "pulse":
-            # P = [[0, -i e^{-i phi}], [i e^{i phi}, 0]]
-            f = np.exp(1j * phi_end)
-            p0, p1 = -1j * np.conj(f) * p1, 1j * f * p0
-        # flips apply no unitary
-    if schedule.final == "pulse":
-        _, phi_end = schedule.end_direction()
-        f = np.exp(1j * phi_end)
-        p0, p1 = -1j * np.conj(f) * p1, 1j * f * p0
+            if j == last and swaps[k] == "pulse":
+                p0, p1 = _pulse(phi0 + 2.0 * math.pi * float(seg.l), p0, p1)
+            yield p0, p1
+
+
+def evolve_batch(
+    schedule: Schedule,
+    noise_values: np.ndarray,
+    grid: StepGrid,
+    initial: np.ndarray = None,
+    noise_axis: str = "longitudinal",
+) -> np.ndarray:
+    """Evolve a batch of realizations through the schedule.
+
+    noise_values has shape (R, total_steps): one piecewise-constant noise
+    path per realization.  Returns the (R, 2) final states.  All
+    realizations share the deterministic drive; each state is advanced per
+    step with the exact constant-field exponential.
+    """
+    noise_values = np.atleast_2d(np.asarray(noise_values, dtype=float))
+    for p0, p1 in _states(schedule, noise_values, grid, initial, noise_axis):
+        pass
     return np.stack([p0, p1], axis=1)
 
 
@@ -280,16 +286,11 @@ def evolve(schedule: Schedule, noise, grid: StepGrid, initial=None,
            noise_axis: str = "longitudinal") -> np.ndarray:
     """Evolve a single realization; returns the final 2-component state."""
     if hasattr(noise, "values"):
-        if len(noise.values) != grid.total_steps:
-            raise ValueError(
-                f"realization has {len(noise.values)} steps, grid expects {grid.total_steps}"
-            )
         if abs(noise.dt - grid.dt) > 1e-12:
             raise ValueError(f"realization dt {noise.dt} differs from grid dt {grid.dt}")
-        values = noise.values
-    else:
-        values = np.asarray(noise, dtype=float)
-    return evolve_batch(schedule, values[None, :], grid, initial, noise_axis)[0]
+        noise = noise.values
+    return evolve_batch(schedule, np.asarray(noise, dtype=float)[None, :], grid, initial,
+                        noise_axis)[0]
 
 
 # -- closed form for constant noise ------------------------------------------
@@ -343,11 +344,8 @@ def evolve_exact(schedule: Schedule, initial=None, offset: float = 0.0) -> np.nd
         omega_rf = seg.winding_sign * schedule.omega_b
         psi = segment_unitary_exact(
             seg.theta, omega_rf, durations[k], phis[k], offset) @ psi
-        kind = schedule.boundaries[k] if k < len(schedule.boundaries) else None
-        if kind == "pulse":
-            psi = _pulse_at_phi(phis[k] + 2.0 * math.pi * float(seg.l)) @ psi
-    if schedule.final == "pulse":
-        psi = _pulse_at_phi(schedule.end_direction()[1]) @ psi
+        if (*schedule.boundaries, schedule.final)[k] == "pulse":
+            psi = np.array(_pulse(phis[k] + 2.0 * math.pi * float(seg.l), *psi))
     return psi
 
 
@@ -371,44 +369,19 @@ def schedule_coherence(schedule: Schedule, state) -> complex:
 
 def bloch_trace(schedule: Schedule, noise, grid: StepGrid, initial=None,
                 noise_axis: str = "longitudinal") -> np.ndarray:
-    """(total_steps+1, 4) array of (t, bx, by, bz) along one evolution."""
+    """(total_steps+1, 4) array of (t, bx, by, bz) along one evolution.
+
+    Row 0 is the initial state at t = 0 and row i the state after step i,
+    recorded from the stepper of :func:`evolve_batch`, so the last row is
+    the Bloch vector of its final state.
+    """
     values = noise.values if hasattr(noise, "values") else np.asarray(noise, dtype=float)
-    if len(values) != grid.total_steps:
-        raise ValueError("noise length does not match the grid")
-    first = schedule.segments[0]
-    if initial is None:
-        initial = initial_superposition(_direction(first.theta, schedule.phi0))
     out = np.empty((grid.total_steps + 1, 4))
-    psi = np.asarray(initial, dtype=complex)
-
-    def bloch(p):
-        return [
-            2.0 * (p[0].conjugate() * p[1]).real,
-            2.0 * (p[0].conjugate() * p[1]).imag,
-            (abs(p[0]) ** 2 - abs(p[1]) ** 2),
-        ]
-
-    out[0] = [0.0, *bloch(psi)]
-    # re-run stepwise to record intermediate states (cost is fine offline)
-    t = 0.0
-    idx = 0
-    phis = schedule.segment_phi_starts()
-    for k, seg in enumerate(schedule.segments):
-        omega_rf = seg.winding_sign * schedule.omega_b
-        for j in range(grid.steps_per_segment[k]):
-            phi_mid = phis[k] + omega_rf * (j + 0.5) * grid.dt
-            b = _total_field(seg.theta, phi_mid, values[idx], noise_axis)
-            psi = step_unitary(b, grid.dt) @ psi
-            t += grid.dt
-            idx += 1
-            out[idx] = [t, *bloch(psi)]
-        kind = schedule.boundaries[k] if k < len(schedule.boundaries) else None
-        if kind == "pulse":
-            psi = _pulse_at_phi(phis[k] + 2.0 * math.pi * float(seg.l)) @ psi
-            out[idx, 1:] = bloch(psi)
-    if schedule.final == "pulse":
-        psi = _pulse_at_phi(schedule.end_direction()[1]) @ psi
-        out[idx, 1:] = bloch(psi)
+    out[:, 0] = grid.dt * np.arange(grid.total_steps + 1)
+    states = _states(schedule, values[None, :], grid, initial, noise_axis)
+    for row, (p0, p1) in zip(out, states):
+        c = np.conj(p0[0]) * p1[0]
+        row[1:] = 2.0 * c.real, 2.0 * c.imag, abs(p0[0]) ** 2 - abs(p1[0]) ** 2
     return out
 
 

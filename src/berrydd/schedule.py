@@ -32,14 +32,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 __all__ = [
     "SegmentSpec",
     "Schedule",
-    "SchemeParams",
     "build_fid",
     "build_se",
     "build_cpmg",
@@ -79,20 +78,6 @@ class SegmentSpec:
     def winding_sign(self) -> int:
         """Sign of the azimuthal rotation: +1 anticlockwise, -1 clockwise."""
         return 1 if self.l > 0 else -1
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    kappa: float
-    theta_a: float
-    theta_c: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.theta_a < math.pi:
-            raise ValueError(f"theta_a must lie in (0, pi), got {self.theta_a}")
-        if self.theta_c is not None and not 0.0 < self.theta_c < math.pi:
-            raise ValueError(f"theta_c must lie in (0, pi), got {self.theta_c}")
-        _check_kappa(self.kappa)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -297,32 +282,17 @@ def build_balanced(
     reversed segment equal in magnitude to that of the forward segments, so
     the piecewise weight becomes a pure echo pattern and the residual
     geometric dephasing cancels.  theta_c defaults to the exact balance
-    root from :func:`solve_theta_c_exact`.
+    root from :func:`solve_theta_c_exact`.  ``base`` names the echo whose
+    reversed segment moves to the companion cone: "se" or "cpmg".
     """
+    echoes = {"se": build_se, "cpmg": build_cpmg}
+    if base not in echoes:
+        raise ValueError(f"base must be 'se' or 'cpmg', got {base!r}")
     if theta_c is None:
         theta_c = solve_theta_c_exact(theta_a, kappa)
-    if base == "se":
-        return Schedule(
-            segments=(
-                SegmentSpec(theta_a, Fraction(1), -1),
-                SegmentSpec(theta_c, Fraction(-1), 1),
-            ),
-            kappa=kappa,
-            boundaries=("pulse",),
-            final="pulse",
-        )
-    if base == "cpmg":
-        return Schedule(
-            segments=(
-                SegmentSpec(theta_a, Fraction(1, 2), -1),
-                SegmentSpec(theta_c, Fraction(-1), 1),
-                SegmentSpec(theta_a, Fraction(1, 2), -1),
-            ),
-            kappa=kappa,
-            boundaries=("pulse", "pulse"),
-            final=None,
-        )
-    raise ValueError(f"base must be 'se' or 'cpmg', got {base!r}")
+    echo = echoes[base](theta_a, kappa)
+    segments = tuple(replace(seg, theta=theta_c) if seg.l < 0 else seg for seg in echo.segments)
+    return replace(echo, segments=segments)
 
 
 def build_mirror(theta_a: float, kappa: float) -> Schedule:

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from berrydd import analytics as an
 from berrydd import propagator as prop
+from berrydd.ensemble import SCHEME_IDS
 from berrydd.noise import NoiseModel
 from berrydd.schedule import (
     build_balanced,
@@ -31,6 +32,60 @@ kappas = st.floats(min_value=5.0, max_value=200.0)
 def params(beta=0.001, eta=0.4, theta=THETA, kappa=KAPPA, theta_c=None):
     return an.DrivenParams(kappa=kappa, theta=theta, beta=beta, eta=eta,
                            theta_c=theta_c)
+
+
+# each scheme's schedule at THETA, built here rather than through the registry
+SCHEDULES = {
+    "fid": lambda k: build_fid(THETA, 2, k),
+    "se": lambda k: build_se(THETA, k),
+    "cpmg": lambda k: build_cpmg(THETA, k),
+    "se_balanced": lambda k: build_balanced(THETA, k, base="se"),
+    "cpmg_balanced": lambda k: build_balanced(THETA, k, base="cpmg"),
+    "mirror": lambda k: build_mirror(THETA, k),
+}
+
+
+def em1px(x):
+    """exp(-x) - 1 + x, by its Taylor series where the direct form cancels."""
+    if x > 0.5:
+        return math.expm1(-x) + x
+    return sum((-x) ** n / math.factorial(n) for n in range(2, 25))
+
+
+# time-domain kernels of the three switching patterns, in units of
+# alpha/gamma^2 as functions of beta = gamma*T
+KERNELS = {
+    "fid": em1px,
+    "se": lambda b: 4 * em1px(b / 2) - em1px(b),
+    "cpmg2": lambda b: 4 * em1px(b / 4) + 4 * em1px(b / 2) - 4 * em1px(3 * b / 4) + em1px(b),
+}
+
+
+def published_full_chi(scheme, p):
+    """The two-term exponential-kernel expressions for chi at any beta.
+
+    The dynamic weight cos(t), the geometric weight sin^2(t)/kappa and the
+    free-evolution bracket (their difference) each carry the kernel of the
+    pattern they follow.  The two-pulse echo also keeps the overlap of its
+    echoed dynamic weight with the unswitched geometric weight, which the
+    time symmetry of the pattern leaves nonzero.
+    """
+    b, k, t = p.beta, p.kappa, p.theta
+    dyn2 = math.cos(t) ** 2
+    geo2 = math.sin(t) ** 4 / k**2
+    bracket2 = (math.cos(t) - math.sin(t) ** 2 / k) ** 2
+    cross = (2 * math.cos(t) * math.sin(t) ** 2 / k
+             * (1 - math.exp(-b / 2)) * (1 - math.exp(-b / 4)) ** 2)
+    kern = {name: f(b) for name, f in KERNELS.items()}
+    terms = {
+        "fid": bracket2 * kern["fid"],
+        "se": dyn2 * kern["se"] + geo2 * kern["fid"],
+        "cpmg": dyn2 * kern["cpmg2"] + geo2 * kern["fid"] + cross,
+        "se_balanced": bracket2 * kern["se"],
+        "cpmg_balanced": bracket2 * kern["cpmg2"],
+        "mirror": dyn2 * kern["cpmg2"] + geo2 * kern["se"],
+    }
+    return p.eta / b**3 * terms[scheme]
 
 
 class TestSplittingAndPhases:
@@ -187,9 +242,11 @@ class TestClosedFormRates:
 
 
 class TestKernelOracle:
-    def test_reproduces_full_se_expression(self):
-        # the rectangle-pair kernel assembly must match the published
-        # two-term echo expression to 1e-10 relative at any beta
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_reproduces_full_expressions(self, scheme):
+        # mode="full" is the rectangle-pair kernel assembly over the built
+        # schedule; it must match the published expression to 1e-10
+        # relative at any beta
         rng = np.random.default_rng(42)
         for _ in range(20):
             theta = rng.uniform(0.1, math.pi - 0.1)
@@ -197,42 +254,15 @@ class TestKernelOracle:
             beta = 10 ** rng.uniform(-3, 1)
             eta = 10 ** rng.uniform(-2, 1)
             p = an.DrivenParams(kappa=kappa, theta=theta, beta=beta, eta=eta)
-            sched = build_se(theta, kappa)
-            chi = an.linear_response_chi(sched, kappa, p.noise_model())
-            assert chi == pytest.approx(an.chi_se(p, mode="full").chi, rel=1e-10)
+            chi = an.prediction_for_scheme(scheme, p, mode="full").chi
+            assert chi == pytest.approx(published_full_chi(scheme, p), rel=1e-10)
 
-    def test_reproduces_full_cpmg_expression(self):
-        # the two-pulse pattern is symmetric in time, so its overlap with the
-        # unswitched geometric weight survives at finite beta
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            theta = rng.uniform(0.1, math.pi - 0.1)
-            kappa = rng.uniform(6, 50)
-            beta = 10 ** rng.uniform(-3, 1)
-            eta = 10 ** rng.uniform(-2, 1)
-            p = an.DrivenParams(kappa=kappa, theta=theta, beta=beta, eta=eta)
-            sched = build_cpmg(theta, kappa)
-            chi = an.linear_response_chi(sched, kappa, p.noise_model())
-            assert chi == pytest.approx(an.chi_cpmg(p, mode="full").chi, rel=1e-10)
-
-    def test_reproduces_fid_lowfreq_limit(self):
-        p = params(beta=1e-6, eta=0.4)
-        sched = build_fid(THETA, 2, KAPPA)
-        chi = an.linear_response_chi(sched, KAPPA, p.noise_model())
-        assert chi == pytest.approx(an.chi_fid(p).chi, rel=1e-6)
-
-    @pytest.mark.parametrize("scheme,builder", [
-        ("se", lambda: build_se(THETA, KAPPA)),
-        ("cpmg", lambda: build_cpmg(THETA, KAPPA)),
-        ("se_balanced", lambda: build_balanced(THETA, KAPPA, base="se")),
-        ("cpmg_balanced", lambda: build_balanced(THETA, KAPPA, base="cpmg")),
-        ("mirror", lambda: build_mirror(THETA, KAPPA)),
-    ])
+    @pytest.mark.parametrize("scheme,builder", [(s, SCHEDULES[s]) for s in SCHEME_IDS])
     def test_reproduces_all_lowfreq_forms(self, scheme, builder):
         p = params(beta=1e-6, eta=0.4)
-        chi = an.linear_response_chi(builder(), KAPPA, p.noise_model())
+        chi = an.linear_response_chi(builder(KAPPA), KAPPA, p.noise_model())
         assert chi == pytest.approx(
-            an.prediction_for_scheme(scheme, p).chi, rel=1e-4)
+            an.prediction_for_scheme(scheme, p).chi, rel=1e-6)
 
     def test_mirror_vs_se_suppression_scales_linearly_in_beta(self):
         # the mirror sequence's exponent carries one extra power of beta
@@ -259,18 +289,9 @@ class TestKernelOracle:
 
 
 class TestQuasistatic:
-    SCHEDULES = {
-        "fid": lambda k: build_fid(THETA, 2, k),
-        "se": lambda k: build_se(THETA, k),
-        "cpmg": lambda k: build_cpmg(THETA, k),
-        "se_balanced": lambda k: build_balanced(THETA, k, base="se"),
-        "cpmg_balanced": lambda k: build_balanced(THETA, k, base="cpmg"),
-        "mirror": lambda k: build_mirror(THETA, k),
-    }
-
     @pytest.mark.parametrize("scheme", sorted(SCHEDULES))
     def test_zero_power_is_the_noiseless_coherence(self, scheme):
-        sched = self.SCHEDULES[scheme](KAPPA)
+        sched = SCHEDULES[scheme](KAPPA)
         z = an.quasistatic_coherence(sched, NoiseModel(alpha=0.0, gamma=1.0))
         z0 = prop.schedule_coherence(sched, prop.evolve_exact(sched))
         assert abs(z - z0) < 1e-12
@@ -389,6 +410,18 @@ class TestFilterFunctions:
         ratio = 8 * np.sin(z / 8) ** 4 * np.sin(z / 2) ** 2 / np.cos(z / 4) ** 2
         np.testing.assert_allclose(
             an.filter_function("cpmg2", z)[keep], ratio[keep], rtol=1e-9)
+
+    def test_derived_form_matches_product_forms(self):
+        # F(z) is derived from the switch times; the closed product forms
+        # of the three patterns are the reference
+        z = np.linspace(0.0, 100.0, 20001)
+        products = {
+            "fid": 2 * np.sin(z / 2) ** 2,
+            "se": 8 * np.sin(z / 4) ** 4,
+            "cpmg2": 32 * np.sin(z / 8) ** 4 * np.sin(z / 4) ** 2,
+        }
+        for seq, ref in products.items():
+            np.testing.assert_allclose(an.filter_function(seq, z), ref, rtol=0, atol=1e-12)
 
     def test_removable_singularity(self):
         # cos(z/4) = 0 at z = 2 pi: the limit value is 8

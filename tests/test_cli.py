@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from berrydd import cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "theta_sweep.csv"
 
 
 def run_cli(args):
@@ -125,7 +128,47 @@ class TestManifestRoundTrip:
             (out2 / "single_result.csv").read_bytes()
 
 
+class TestFidWindings:
+    # the free loop always winds twice; manifests written while that was a
+    # config field record "fid_windings": 2
+    CONFIG = {"scheme": "fid", "theta_a": 1.0, "beta": 0.001, "eta": 0.4,
+              "realizations": 16, "master_seed": 7}
+
+    def test_old_manifest_reruns_byte_identically(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.CONFIG))
+        out1 = tmp_path / "a"
+        assert run_cli(["single", "--config", path, "--out-dir", out1]) == 0
+        manifest = out1 / "single_manifest.json"
+        man = json.loads(manifest.read_text())
+        assert "fid_windings" not in man["config"]
+        man["config"]["fid_windings"] = 2
+        manifest.write_text(json.dumps(man))
+        out2 = tmp_path / "b"
+        assert run_cli(["single", "--manifest", manifest, "--out-dir", out2]) == 0
+        assert (out1 / "single_result.csv").read_bytes() == \
+            (out2 / "single_result.csv").read_bytes()
+
+    def test_other_winding_count_is_rejected_by_name(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="fid_windings"):
+            cli.config_from_dict({**self.CONFIG, "fid_windings": 3})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CONFIG, "fid_windings": 3}))
+        assert run_cli(["single", "--config", path, "--out-dir", tmp_path / "o"]) == 2
+        assert "fid_windings" in capsys.readouterr().err
+
+
 class TestThetaSweep:
+    def test_default_sweep_matches_golden_rows(self, tmp_path):
+        # the benchmark's golden results at seed 2024, header comments aside
+        out = tmp_path / "o"
+        assert run_cli(["theta-sweep", "--seed", 2024, "--workers", 1, "--out-dir", out]) == 0
+
+        def rows(path):
+            return [ln for ln in path.read_bytes().split(b"\n") if not ln.startswith(b"#")]
+
+        assert rows(out / "theta_sweep_results.csv") == rows(GOLDEN)
+
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "o"
         code = run_cli([

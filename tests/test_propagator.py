@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from berrydd import propagator as prop
 from berrydd.analytics import omega_splitting
 from berrydd.noise import NoiseRealization
 from berrydd.schedule import (
+    Schedule,
+    SegmentSpec,
     build_balanced,
     build_cpmg,
     build_fid,
@@ -26,6 +29,23 @@ unit_vectors = st.tuples(
     math.sin(tp[0]) * math.sin(tp[1]),
     math.cos(tp[0]),
 ]))
+
+
+@st.composite
+def random_schedules(draw):
+    """Schedules of 1-4 half or whole windings joined by random pulses and flips."""
+    angles = st.floats(0.1, math.pi - 0.1)
+    theta, s = draw(angles), -1
+    segments, boundaries = [], []
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            boundaries.append(draw(st.sampled_from(["pulse", "flip"])))
+            theta = math.pi - theta if boundaries[-1] == "flip" else draw(angles)
+            s = -s
+        segments.append(SegmentSpec(theta, Fraction(draw(st.sampled_from([-2, -1, 1, 2])), 2), s))
+    return Schedule(segments=tuple(segments), kappa=6.0, phi0=draw(st.floats(-math.pi, math.pi)),
+                    boundaries=tuple(boundaries),
+                    final=draw(st.sampled_from([None, "pulse", "flip"])))
 
 
 def wrap(x):
@@ -376,3 +396,20 @@ class TestTrace:
         lines = (tmp_path / "tr.csv").read_text().splitlines()
         assert lines[0] == "t,bx,by,bz"
         assert len(lines) == grid.total_steps + 2
+
+    @given(schedule=random_schedules(), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 1.0), axis=st.sampled_from(["longitudinal", "transverse"]))
+    @settings(max_examples=60, deadline=None)
+    def test_stepper_keeps_norm_and_trace_ends_on_final_state(self, schedule, seed, scale, axis):
+        # evolve_batch and bloch_trace share one stepper: the batch keeps
+        # the norm, and the trace's last row is the final state's Bloch vector
+        grid = prop.StepGrid.from_schedule(schedule, 2)
+        noise = np.random.default_rng(seed).normal(0.0, scale, (3, grid.total_steps))
+        states = prop.evolve_batch(schedule, noise, grid, noise_axis=axis)
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
+        p0, p1 = prop.evolve_batch(schedule, noise[:1], grid, noise_axis=axis)[0]
+        c = np.conj(p0) * p1
+        trace = prop.bloch_trace(schedule, noise[0], grid, noise_axis=axis)
+        np.testing.assert_array_equal(
+            trace[-1], [grid.total_steps * grid.dt, 2 * c.real, 2 * c.imag,
+                        abs(p0) ** 2 - abs(p1) ** 2])
