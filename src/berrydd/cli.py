@@ -215,6 +215,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             continue
         want = _CONFIG_FIELDS[name]
         try:
+            if want is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(value)  # int() would truncate it silently
             kwargs[name] = want(value)
         except (TypeError, ValueError):
             errors.append(f"field '{name}' must be {want.__name__}, got {value!r}")

@@ -7,20 +7,25 @@ z_r = <-1|psi_r><psi_r|+1>.  The ensemble estimators follow
 
     gamma = arg <z>,   W = |<z>| / |z(0)|,   |z(0)| = 1/2.
 
-Realizations run in compute batches: each batch draws its rows from
-their own substreams, filters them with one OU recursion and evolves them
-with one ``evolve_batch`` call.  A batch holds about ``_BATCH_ELEMS`` noise
-samples in whole ``_BLOCK``-row blocks, fewer when ``workers`` share the
-rows; a process pool, if any, gets one task per batch.  ``_BLOCK`` is only
-the unit of the density-matrix reduction, which sums 64-row slices in
-block order, and of the adaptive mode's steps.  Per-row results do not
-depend on the batch a row sits in, so results are bit-identical for any
-worker count.
+Realizations run in compute batches of about ``_BATCH_ELEMS`` noise
+samples, fewer when ``workers`` share the rows; a process pool, if any,
+gets one task per batch.  A batch draws each row's normals from that
+row's own substream (``noise.substream_normals``: one vectorised Philox
+key pass per point of the batch) straight into one path array, filters
+each point's rows there with one OU recursion and evolves all rows with
+one ``evolve_batch`` call.  ``run_ensembles`` stacks the points of a
+sweep that share a scheme into the same batches, with per-row cone
+angles, so all theta points of a scheme step in one call.  Per-row
+results do not depend on the batch a row sits in, so every point's
+results are bit-identical for any worker count and any stacking.  The
+density-matrix reduction sums each point's ``_BLOCK``-row slices in
+block order; adaptive mode steps one point ``_BLOCK`` rows at a time.
 
-The zero-noise reference rides along as row 0 of the first batch.  Its
-phase gamma_ref carries the scheme-constant offset (non-adiabatic
-corrections plus any pulse-convention contribution) relative to the ideal
-loop phase; gamma_corrected subtracts that offset from gamma_mean.
+Each point's zero-noise reference rides along as the row before its
+realization 0.  Its phase gamma_ref carries the scheme-constant offset
+(non-adiabatic corrections plus any pulse-convention contribution)
+relative to the ideal loop phase; gamma_corrected subtracts that offset
+from gamma_mean.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -42,6 +48,7 @@ __all__ = [
     "EnsembleResult",
     "build_schedule",
     "run_ensemble",
+    "run_ensembles",
     "sweep_theta",
     "sweep_beta",
     "bootstrap_errors",
@@ -97,6 +104,11 @@ class ExperimentConfig:
             raise ValueError(f"bad noise_axis {self.noise_axis!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # the substream keys hash these words; a bad one must not reach a run
+        for name in ("master_seed", "stream_key"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
     def params(self) -> analytics.DrivenParams:
         theta_c = None
@@ -138,41 +150,56 @@ def build_schedule(config: ExperimentConfig) -> sched.Schedule:
     return analytics.SCHEMES[config.scheme].build(config.theta_a, config.kappa)
 
 
-def _noise_block(config, model, n_steps, dt, index_range, reference):
-    """Noise paths for realizations [lo, hi), behind a zero row if ``reference``."""
-    lo, hi = index_range
-    z = np.zeros((hi - lo + int(reference), n_steps))
-    for row, r in enumerate(range(lo, hi), start=int(reference)):
-        rng = noise.substream(config.master_seed, config.stream_key, _NS_NOISE, r)
-        rng.standard_normal(out=z[row])
-    return noise.ou_filter(model, z, dt)
+def _batches(counts, rows):
+    """Cut the points' realizations, in point order, into batches of ``rows``.
 
-
-def _run_block(config, schedule, grid, model, index_range):
-    """Evolve one batch; returns (reference state or None, z, per-block rho sums).
-
-    The batch that starts at realization 0 carries the zero-noise run as
-    row 0.  The rho sums cover consecutive ``_BLOCK``-row slices of the
-    realizations.
+    A batch is a list of pieces (point, lo, hi): realizations [lo, hi) of
+    that point.  A piece with lo == 0 also carries the point's zero-noise
+    reference row, which does not count against ``rows``.
     """
-    reference = index_range[0] == 0
-    values = _noise_block(config, model, grid.total_steps, grid.dt, index_range, reference)
-    states = propagator.evolve_batch(schedule, values, grid, noise_axis=config.noise_axis)
-    ref_state = states[0] if reference else None
-    states = states[int(reference):]
-    z = propagator.schedule_coherence(schedule, states)
-    rho_sums = [
-        np.einsum("ri,rj->ij", blk, blk.conj())
-        for blk in (states[lo:lo + _BLOCK] for lo in range(0, len(states), _BLOCK))
-    ]
-    return ref_state, z, rho_sums
+    batches, batch, room = [], [], rows
+    for p, n in enumerate(counts):
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + room)
+            batch.append((p, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if room == 0:
+                batches.append(batch)
+                batch, room = [], rows
+    if batch:
+        batches.append(batch)
+    return batches
 
 
-def _batch_rows(config, n_steps):
-    """Rows per compute batch: the element budget in whole blocks, split over workers."""
-    rows = max(_BLOCK, _BATCH_ELEMS // n_steps // _BLOCK * _BLOCK)
-    share = -(-config.realizations // config.workers)
-    return min(rows, -(-share // _BLOCK) * _BLOCK)
+def _batch_rows(realizations, workers, n_steps):
+    """Realization rows per compute batch: the element budget, split over workers."""
+    return min(max(_BLOCK, _BATCH_ELEMS // n_steps), -(-realizations // workers))
+
+
+def _run_batch(points, grid, batch):
+    """Evolve one compute batch; returns the final states of its rows in piece order.
+
+    ``points`` holds (config, schedule, OU model) per point.  A piece
+    with lo == 0 puts the point's zero-noise reference row before its
+    realizations.  Each piece's normals are drawn straight into the
+    batch's one path array and filtered there with the point's own model.
+    """
+    sizes = [hi - lo + (lo == 0) for _, lo, hi in batch]
+    values = np.zeros((sum(sizes), grid.total_steps))
+    schedules = []
+    end = 0
+    for (p, lo, hi), size in zip(batch, sizes):
+        config, schedule, model = points[p]
+        end += size
+        paths = values[end - (hi - lo):end]
+        noise.substream_normals(config.master_seed, (config.stream_key, _NS_NOISE),
+                                range(lo, hi), grid.total_steps, out=paths)
+        noise.ou_filter(model, paths, grid.dt, out=paths)
+        schedules += [schedule] * size
+    return propagator.evolve_batch(schedules, values, grid,
+                                   noise_axis=points[0][0].noise_axis)
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
@@ -181,44 +208,86 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     Deterministic for a fixed config: the same master seed gives the same
     estimators for any worker count.  With ``adaptive`` set, blocks keep
     accumulating until the bootstrap error of W drops below
-    ``adaptive_target`` (or ``realizations`` is reached).
+    ``adaptive_target`` (or ``realizations`` is reached).  This is the
+    one-point case of :func:`run_ensembles`.
     """
-    schedule = build_schedule(config)
-    grid = propagator.StepGrid.from_schedule(schedule, config.dt_divisor)
-    model = config.params().noise_model()
+    return run_ensembles([config])[0]
 
+
+def run_ensembles(configs) -> list:
+    """Run many ensembles; returns one EnsembleResult per config, in order.
+
+    Configs of one scheme, kappa, dt divisor, noise axis and worker count
+    form a stack whose realizations share compute batches; each point's
+    rows still come from its own substreams.  Every result equals, bit for
+    bit, what :func:`run_ensemble` gives for its config alone.  Adaptive
+    configs run alone.
+    """
+    configs = list(configs)
+    stacks = {}
+    for i, cfg in enumerate(configs):
+        key = (i,) if cfg.adaptive else (
+            cfg.scheme, cfg.kappa, cfg.dt_divisor, cfg.noise_axis, cfg.workers)
+        stacks.setdefault(key, []).append(i)
+    results = [None] * len(configs)
+    for members in stacks.values():
+        for i, res in zip(members, _run_stack([configs[i] for i in members])):
+            results[i] = res
+    return results
+
+
+def _run_stack(configs):
+    """The results of configs whose schedules differ only in their cone angles."""
+    points = [(cfg, build_schedule(cfg), cfg.params().noise_model()) for cfg in configs]
+    first = configs[0]
+    grid = propagator.StepGrid.from_schedule(points[0][1], first.dt_divisor)
+    counts = [cfg.realizations for cfg in configs]
     # adaptive mode grows block by block: the stopping rule reads partial results
-    rows = _BLOCK if config.adaptive else _batch_rows(config, grid.total_steps)
-    n = config.realizations
-    ranges = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    parallel = config.workers > 1 and len(ranges) > 1 and not config.adaptive
-    zs = []
-    rho_sum = np.zeros((2, 2), dtype=complex)
-    used = 0
-    with (ProcessPoolExecutor(max_workers=config.workers) if parallel
+    rows = _BLOCK if first.adaptive else _batch_rows(
+        sum(counts), first.workers, grid.total_steps)
+    batches = _batches(counts, rows)
+    parallel = first.workers > 1 and len(batches) > 1 and not first.adaptive
+    refs = [None] * len(points)
+    parts = [[] for _ in points]  # per point: final states of its realizations
+    zs = [[] for _ in points]
+    with (ProcessPoolExecutor(max_workers=first.workers) if parallel
           else nullcontext()) as pool:
         outputs = (pool.map if parallel else map)(
-            partial(_run_block, config, schedule, grid, model), ranges
+            partial(_run_batch, points, grid), batches
         )
-        for ref, z_batch, rho_sums in outputs:  # batch order
-            if ref is not None:
-                # zero-noise reference on the same grid: scheme-constant phase offset
-                z_ref = propagator.schedule_coherence(schedule, ref)
-            zs.append(z_batch)
-            for rho in rho_sums:
-                rho_sum = rho_sum + rho
-            used += len(z_batch)
-            if config.adaptive and used >= 2 * _BLOCK:
+        for batch, states in zip(batches, outputs):  # batch order
+            row = 0
+            for p, lo, hi in batch:
+                if lo == 0:
+                    refs[p] = states[row]
+                    row += 1
+                piece = states[row:row + hi - lo]
+                row += hi - lo
+                parts[p].append(piece)
+                zs[p].append(propagator.schedule_coherence(points[p][1], piece))
+            if first.adaptive and hi >= 2 * _BLOCK:  # one point, hi rows so far
                 _, w_err = bootstrap_errors(
-                    np.concatenate(zs), config.bootstrap_resamples,
-                    noise.substream(config.master_seed, config.stream_key, _NS_BOOTSTRAP),
+                    np.concatenate(zs[0]), first.bootstrap_resamples,
+                    noise.substream(first.master_seed, first.stream_key, _NS_BOOTSTRAP),
                 )
-                if w_err < config.adaptive_target:
+                if w_err < first.adaptive_target:
                     break
+    return [_result(*point, refs[p], np.concatenate(parts[p]), np.concatenate(zs[p]))
+            for p, point in enumerate(points)]
+
+
+def _result(config, schedule, model, ref, states, z):
+    """One point's estimators and theory from its final states and coherences."""
+    # zero-noise reference on the same grid: scheme-constant phase offset
+    z_ref = propagator.schedule_coherence(schedule, ref)
     gamma_ref = float(np.angle(z_ref))
     w_ref = 2.0 * abs(z_ref)
 
-    z = np.concatenate(zs)
+    used = len(z)
+    rho_sum = np.zeros((2, 2), dtype=complex)
+    for lo in range(0, used, _BLOCK):
+        blk = states[lo:lo + _BLOCK]
+        rho_sum = rho_sum + np.einsum("ri,rj->ij", blk, blk.conj())
     z_mean = z.mean()
     gamma_mean = float(np.angle(z_mean))
     w = 2.0 * abs(z_mean)
@@ -300,15 +369,14 @@ THETA_SWEEP_SCHEMES = ("fid", "cpmg", "cpmg_balanced", "mirror")
 
 
 def sweep_theta(base: ExperimentConfig, theta_grid, schemes=THETA_SWEEP_SCHEMES):
-    """One ensemble per (scheme, theta); each point gets its own substream key."""
-    results = []
-    key = 0
-    for scheme in schemes:
-        for theta in theta_grid:
-            cfg = replace(base, scheme=scheme, theta_a=float(theta), stream_key=key)
-            results.append(run_ensemble(cfg))
-            key += 1
-    return results
+    """One ensemble per (scheme, theta); each point gets its own substream key.
+
+    The points of one scheme run as one stack (see :func:`run_ensembles`).
+    """
+    return run_ensembles(
+        replace(base, scheme=scheme, theta_a=float(theta), stream_key=key)
+        for key, (scheme, theta) in enumerate(product(schemes, theta_grid))
+    )
 
 
 def sweep_beta(base: ExperimentConfig, beta_grid, schemes=THETA_SWEEP_SCHEMES,
@@ -316,16 +384,11 @@ def sweep_beta(base: ExperimentConfig, beta_grid, schemes=THETA_SWEEP_SCHEMES,
     """One ensemble per (scheme, beta) with the noise-power rule eta = 400*beta.
 
     The rule keeps alpha3 fixed while beta scans the correlation time; it
-    is an assumption carried into the output metadata.
+    is an assumption carried into the output metadata.  The points of one
+    scheme run as one stack (see :func:`run_ensembles`).
     """
-    results = []
-    key = 0
-    for scheme in schemes:
-        for beta in beta_grid:
-            cfg = replace(
-                base, scheme=scheme, beta=float(beta),
-                eta=eta_per_beta * float(beta), stream_key=key,
-            )
-            results.append(run_ensemble(cfg))
-            key += 1
-    return results
+    return run_ensembles(
+        replace(base, scheme=scheme, beta=float(beta), eta=eta_per_beta * float(beta),
+                stream_key=key)
+        for key, (scheme, beta) in enumerate(product(schemes, beta_grid))
+    )

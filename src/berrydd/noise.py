@@ -17,11 +17,19 @@ Gaussian variates come from ``numpy.random.Generator.standard_normal``
 counter-based substream keyed by (master seed, realization index) via
 ``substream``, so results do not depend on how many realizations run, or
 in which order, or on how work is split across workers.
+
+``substream_normals`` fills the rows of many realizations at once with
+exactly those streams.  A substream is a Philox generator whose key is
+``SeedSequence(entropy=seed, spawn_key=key).generate_state(2, uint64)``;
+instead of building a SeedSequence, Philox and Generator per row, it runs
+that hash for all rows in one vectorised pass (``_philox_keys``) and
+re-keys one Philox per row by setting its whole state.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,7 @@ __all__ = [
     "NoiseModel",
     "NoiseRealization",
     "substream",
+    "substream_normals",
     "ou_init",
     "ou_step",
     "correlation",
@@ -81,6 +90,117 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
+# uint32 words, hashmix constants for the entropy (A) and the output (B)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _words(n) -> list:
+    """SeedSequence's uint32 words of a non-negative integer, low word first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed and key words must be >= 0, got {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, h):
+    """One hashmix of ``value`` (int or uint32 array); returns it and the next constant."""
+    value = (value ^ h) & _M32
+    h = (h * _MULT_A) & _M32
+    value = (value * h) & _M32
+    return value ^ (value >> 16), h
+
+
+def _mix(x, y):
+    r = (((_MIX_L * x) & _M32) - ((_MIX_R * y) & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def _philox_keys(master_seed: int, key: tuple, realizations) -> np.ndarray:
+    """(rows, 2) uint64 keys of the substreams (master_seed, *key, r), one per r.
+
+    Row i equals ``SeedSequence(entropy=master_seed, spawn_key=(*key,
+    r_i)).generate_state(2, np.uint64)``, the key ``substream`` hands to
+    Philox.  The words of seed and key are the same for every row, so the
+    hash runs over them once on Python ints; only the words of r are
+    hashed as arrays.
+    """
+    r = np.asarray(realizations)
+    if r.ndim != 1 or (r.size and (r.dtype.kind not in "iu" or r.min() < 0)):
+        raise ValueError("realizations must be a 1-D sequence of integers >= 0")
+    r = r.astype(np.uint64)
+    # a spawned SeedSequence pads the run entropy to the pool size
+    run = _words(master_seed)
+    run += [0] * (_POOL - len(run))
+    common = run + [w for k in key for w in _words(k)]
+    h = _INIT_A
+    pool = []
+    for w in common[:_POOL]:
+        w, h = _hashmix(w, h)
+        pool.append(w)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                w, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], w)
+    for word in common[_POOL:] + [(r & _M32).astype(np.uint32)]:
+        for dst in range(_POOL):
+            w, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], w)
+    # r >= 2**32 has a second word, mixed in by the rows that have one
+    wide = r > _M32
+    if wide.any():
+        high = (r[wide] >> np.uint64(32)).astype(np.uint32)
+        for dst in range(_POOL):
+            w, h = _hashmix(high, h)
+            pool[dst][wide] = _mix(pool[dst][wide], w)
+    h = _INIT_B
+    state = []
+    for w in pool:  # generate_state: one output word per pool word
+        w = w ^ h
+        h = (h * _MULT_B) & _M32
+        w = w * h
+        state.append((w ^ (w >> 16)).astype(np.uint64))
+    keys = np.empty((len(r), 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+def substream_normals(master_seed: int, key: tuple, realizations, n_steps: int,
+                      out: np.ndarray = None) -> np.ndarray:
+    """Standard normals of many substreams: row i holds ``n_steps`` draws of r_i.
+
+    Row i equals ``substream(master_seed, *key, r_i).standard_normal(n_steps)``
+    bit for bit, for r_i the i-th entry of ``realizations``.  The keys of
+    all rows come from one pass of ``_philox_keys``; one Philox is then
+    re-keyed per row by setting its whole state (the key, a zero counter
+    and an empty buffer), which is what a newly seeded Philox holds.
+    ``out``, if given, is the (rows, n_steps) float64 array to fill.
+    """
+    keys = _philox_keys(master_seed, key, realizations)
+    if out is None:
+        out = np.empty((len(keys), n_steps))
+    if out.shape != (len(keys), n_steps):
+        raise ValueError(f"out has shape {out.shape}, need {(len(keys), n_steps)}")
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, buffer empty
+    for row, k in zip(out, keys):
+        state["state"]["key"] = k
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out
+
+
 def ou_init(model: NoiseModel, rng: np.random.Generator) -> float:
     """Stationary initial sample: Gaussian with mean 0, variance alpha."""
     return float(np.sqrt(model.alpha) * rng.standard_normal())
@@ -107,17 +227,19 @@ def spectrum(model: NoiseModel, omega) -> float:
     return out if out.ndim else float(out)
 
 
-def ou_filter(model: NoiseModel, z: np.ndarray, dt: float) -> np.ndarray:
+def ou_filter(model: NoiseModel, z: np.ndarray, dt: float,
+              out: np.ndarray = None) -> np.ndarray:
     """Turn standard normals into stationary OU paths, one path per row.
 
     ``z`` has shape (rows, n_steps); row i of the result depends only on
     row i of ``z``, so a batch gives the same paths as filtering each row
     alone.  Column 0 is the stationary draw sqrt(alpha)*z[:, 0]; the rest
-    follow the exact update, run as one linear recursion per row.
+    follow the exact update, run as one linear recursion per row.  The
+    paths go to ``out`` if given, which may be ``z`` itself.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    values = np.empty_like(z)
+    values = np.empty_like(z) if out is None else out
     values[:, 0] = np.sqrt(model.alpha) * z[:, 0]
     if z.shape[1] > 1:
         decay = np.exp(-model.gamma * dt)

@@ -197,10 +197,39 @@ def _direction(theta, phi):
     )
 
 
+def _structure(schedule):
+    """A schedule without its cone angles: what its stepping shares with others."""
+    return (tuple(seg.l for seg in schedule.segments), schedule.boundaries,
+            schedule.final, schedule.kappa, schedule.phi0)
+
+
+def _per_row(schedule, nreal):
+    """The distinct schedules of a batch and a function spreading their values over rows.
+
+    ``schedule`` is one Schedule for all rows, or a sequence with one per
+    row.  ``spread`` takes one value per distinct schedule and returns the
+    value itself when there is only one schedule, else a per-row array.
+    """
+    if isinstance(schedule, Schedule):
+        distinct = [schedule]
+    else:
+        if len(schedule) != nreal:
+            raise ValueError(f"{len(schedule)} schedules for {nreal} noise rows")
+        distinct = list({id(s): s for s in schedule}.values())
+        if any(_structure(s) != _structure(distinct[0]) for s in distinct):
+            raise ValueError("the schedules of one batch may differ only in their cone angles")
+    if len(distinct) == 1:
+        return distinct, lambda values: values[0]
+    slot = {id(s): i for i, s in enumerate(distinct)}
+    index = np.array([slot[id(s)] for s in schedule], dtype=np.intp)
+    return distinct, lambda values: np.asarray(values)[index]
+
+
 def _states(schedule, noise_values, grid, initial, noise_axis):
     """The stepper behind evolve_batch and bloch_trace: yield (p0, p1) arrays.
 
-    noise_values has shape (R, total_steps).  The first yield is the
+    noise_values has shape (R, total_steps); ``schedule`` is one Schedule
+    or one per row (see ``evolve_batch``).  The first yield is the
     initial state, then one per step; a pulse that ends a segment (or the
     schedule) is applied before the state after that step is yielded.
     Flips apply no unitary.
@@ -210,17 +239,18 @@ def _states(schedule, noise_values, grid, initial, noise_axis):
         raise ValueError(
             f"noise has {nsteps} steps but the grid expects {grid.total_steps}"
         )
+    distinct, spread = _per_row(schedule, nreal)
+    schedule = distinct[0]
     if len(grid.steps_per_segment) != len(schedule.segments):
         raise ValueError("grid does not match the schedule's segment count")
     longitudinal = noise_axis == "longitudinal"
     if not longitudinal and noise_axis != "transverse":
         raise ValueError(f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
-    first = schedule.segments[0]
     if initial is None:
-        initial = initial_superposition(_direction(first.theta, schedule.phi0))
-    psi0 = np.asarray(initial, dtype=complex)
-    p0 = np.full(nreal, psi0[0], dtype=complex)
-    p1 = np.full(nreal, psi0[1], dtype=complex)
+        initial = spread([initial_superposition(_direction(s.segments[0].theta, s.phi0))
+                          for s in distinct])
+    psi0 = np.broadcast_to(np.asarray(initial, dtype=complex), (nreal, 2))
+    p0, p1 = psi0[:, 0], psi0[:, 1]
     yield p0, p1
 
     dt = grid.dt
@@ -229,7 +259,8 @@ def _states(schedule, noise_values, grid, initial, noise_axis):
     i = 0
     for k, seg in enumerate(schedule.segments):
         omega_rf = seg.winding_sign * schedule.omega_b
-        st, ct = math.sin(seg.theta), math.cos(seg.theta)
+        st = spread([math.sin(s.segments[k].theta) for s in distinct])
+        ct = spread([math.cos(s.segments[k].theta) for s in distinct])
         phi0 = phis[k]
         last = grid.steps_per_segment[k] - 1
         for j in range(last + 1):
@@ -272,9 +303,15 @@ def evolve_batch(
     """Evolve a batch of realizations through the schedule.
 
     noise_values has shape (R, total_steps): one piecewise-constant noise
-    path per realization.  Returns the (R, 2) final states.  All
-    realizations share the deterministic drive; each state is advanced per
-    step with the exact constant-field exponential.
+    path per realization.  Returns the (R, 2) final states.  Each state is
+    advanced per step with the exact constant-field exponential.
+
+    ``schedule`` is one Schedule that drives every row, or a sequence of R
+    schedules, one per row, that differ only in their cone angles (same
+    windings, boundary kinds, kappa and start azimuth), such as one scheme
+    at several theta.  Each row then starts in its own schedule's initial
+    superposition and steps with its own angles; a row's final state is
+    the same whichever rows share its batch.
     """
     noise_values = np.atleast_2d(np.asarray(noise_values, dtype=float))
     for p0, p1 in _states(schedule, noise_values, grid, initial, noise_axis):
@@ -349,14 +386,17 @@ def evolve_exact(schedule: Schedule, initial=None, offset: float = 0.0) -> np.nd
     return psi
 
 
-def schedule_coherence(schedule: Schedule, state) -> complex:
-    """Readout coherence of a final state in the schedule's readout basis."""
+def schedule_coherence(schedule: Schedule, state):
+    """Readout coherence of a final state in the schedule's readout basis.
+
+    ``state`` is one state (2,), giving a complex, or a batch (R, 2) of
+    states, giving R coherences; two rows are two states.
+    (:func:`readout_coherence` takes density matrices.)
+    """
     theta, phi = schedule.readout_direction()
     em = eigenstate(theta, phi, -1)
     ep = eigenstate(theta, phi, 1)
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 2 and arr.shape == (2, 2):
-        return complex(em.conj() @ arr @ ep)
     if arr.ndim == 2:  # batch of states
         am = arr @ em.conj()
         ap = arr @ ep.conj()

@@ -38,3 +38,25 @@ def test_probes_install_trace_and_restore():
     assert metrics["ensemble.realizations_used"] == 8
     assert metrics["propagator.propagate.calls"] == 1
     assert metrics["noise.filter.busy_s"] > 0
+
+
+def test_probes_trace_a_stacked_sweep():
+    # a traced theta_sweep iteration: the points of a scheme share one batch
+    spans = _load_spans()
+    rec = spans.install_berrydd_probes()
+    try:
+        base = ensemble.ExperimentConfig(scheme="fid", theta_a=1.0, beta=0.001,
+                                         eta=0.4, realizations=8)
+        results = ensemble.sweep_theta(base, [0.5, 1.0])
+        metrics = spans.layer_metrics(rec)
+    finally:
+        rec.restore()
+    assert noise.lfilter is scipy.signal.lfilter
+    n_schemes = len(ensemble.THETA_SWEEP_SCHEMES)
+    assert len(results) == 2 * n_schemes
+    assert metrics["propagator.propagate.calls"] == n_schemes
+    # two points of 8 realizations, each behind its reference row
+    assert metrics["propagator.propagate.rows_per_call"] == 18
+    # noise rows are keyed in one pass per point; substream serves the bootstrap
+    assert metrics["noise.substream.calls"] == len(results)
+    assert metrics["ensemble.bootstrap.calls"] == len(results)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from berrydd import analytics as an
+from berrydd import ensemble
 from berrydd import propagator as prop
 from berrydd.cli import config_from_dict
 from berrydd.ensemble import (
@@ -53,6 +55,18 @@ class TestConfigValidation:
             make_config(realizations=1)
         data = dict(scheme="cpmg", theta_a=THETA, beta=0.001, eta=0.4, realizations=1)
         with pytest.raises(ValueError, match="realizations"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("name, value", [
+        ("master_seed", -1), ("master_seed", 1.5), ("stream_key", -3),
+    ])
+    def test_rejects_bad_seed_words(self, name, value):
+        # the substream key hash takes non-negative integers only; fail at
+        # validation, not inside the first draw
+        with pytest.raises(ValueError, match=name):
+            make_config(**{name: value})
+        data = dict(scheme="cpmg", theta_a=THETA, beta=0.001, eta=0.4, **{name: value})
+        with pytest.raises(ValueError, match=name):
             config_from_dict(data)
 
     def test_builds_all_schemes(self):
@@ -191,6 +205,16 @@ class TestDeterminism:
             assert res.gamma_stderr == expect["gamma_stderr"]
             assert res.w_stderr == expect["w_stderr"]
 
+    @pytest.mark.parametrize("realizations, workers", [(2, 1), (130, 2)])
+    def test_two_row_batches(self, realizations, workers):
+        # both leave a block or batch of exactly two realization rows
+        res = run_ensemble(make_config(realizations=realizations, workers=workers))
+        expect = _block_route(make_config(realizations=realizations))
+        assert res.realizations_used == realizations
+        np.testing.assert_array_equal(res.coherences, expect["coherences"])
+        np.testing.assert_array_equal(res.mean_rho, expect["mean_rho"])
+        assert res.w_stderr == expect["w_stderr"]
+
     def test_different_seeds_differ(self):
         a = run_ensemble(make_config(realizations=64))
         b = run_ensemble(make_config(realizations=64, master_seed=7))
@@ -286,3 +310,53 @@ class TestSweeps:
         a = sweep_theta(base, [0.5], schemes=("cpmg",))[0]
         b = sweep_theta(base, [0.5], schemes=("cpmg",))[0]
         assert a.w == b.w and a.gamma_mean == b.gamma_mean
+
+
+def _assert_same_point(res, alone):
+    np.testing.assert_array_equal(res.coherences, alone.coherences)
+    np.testing.assert_array_equal(res.mean_rho, alone.mean_rho)
+    assert res.gamma_ref == alone.gamma_ref
+    assert res.gamma_stderr == alone.gamma_stderr
+    assert res.w_stderr == alone.w_stderr
+
+
+class TestStackedSweeps:
+    # 100 realization rows per batch: points of 70 realizations are split
+    # across batches, and batches mix points
+    SMALL_BATCH = 100 * 240
+
+    @pytest.mark.parametrize("workers, axis", [
+        (1, "longitudinal"), (2, "longitudinal"), (1, "transverse"),
+    ])
+    def test_theta_sweep_equals_per_point_runs(self, monkeypatch, workers, axis):
+        base = make_config(realizations=70, workers=workers, noise_axis=axis)
+        grid = [0.4, 5 * math.pi / 12, 2.6]
+        schemes = ("cpmg_balanced", "mirror")
+        alone = [run_ensemble(replace(base, scheme=s, theta_a=t, stream_key=k))
+                 for k, (s, t) in enumerate((s, t) for s in schemes for t in grid)]
+        monkeypatch.setattr(ensemble, "_BATCH_ELEMS", self.SMALL_BATCH)
+        rows = sweep_theta(base, grid, schemes=schemes)
+        assert [r.config for r in rows] == [a.config for a in alone]
+        for res, one in zip(rows, alone):
+            _assert_same_point(res, one)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_beta_sweep_equals_per_point_runs(self, monkeypatch, workers):
+        base = make_config(realizations=70, workers=workers)
+        grid = [0.001, 0.05, 0.5]
+        alone = [run_ensemble(replace(base, scheme=s, beta=b, eta=400 * b, stream_key=k))
+                 for k, (s, b) in enumerate((s, b) for s in ("fid", "cpmg") for b in grid)]
+        monkeypatch.setattr(ensemble, "_BATCH_ELEMS", self.SMALL_BATCH)
+        rows = sweep_beta(base, grid, schemes=("fid", "cpmg"))
+        for res, one in zip(rows, alone):
+            _assert_same_point(res, one)
+
+    def test_mixed_configs_keep_input_order(self):
+        # points of other schemes, counts and adaptive settings interleave
+        cfgs = [make_config(scheme="fid", realizations=40, stream_key=1),
+                make_config(scheme="mirror", realizations=33, stream_key=2),
+                make_config(scheme="fid", realizations=90, stream_key=3, theta_a=1.0),
+                make_config(scheme="fid", realizations=192, stream_key=4, adaptive=True)]
+        for res, cfg in zip(ensemble.run_ensembles(cfgs), cfgs):
+            assert res.config == cfg
+            _assert_same_point(res, run_ensemble(cfg))

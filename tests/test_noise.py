@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
@@ -14,6 +14,7 @@ from berrydd.noise import (
     sample_realization,
     spectrum,
     substream,
+    substream_normals,
     write_trace_csv,
 )
 
@@ -217,6 +218,48 @@ def test_batched_filter_matches_rows(alpha, gamma, dt, n_steps, rows):
     for r in range(rows):
         one = sample_realization(model, n_steps, dt, substream(5, r)).values
         assert np.array_equal(batch[r], one)
+
+
+seeds = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, stream=st.integers(0, 2**40), lo=st.integers(1, 2**34),
+       rows=st.integers(1, 12), n_steps=st.integers(1, 40))
+@example(seed=2**64 - 1, stream=2**32, lo=2**32 - 3, rows=6, n_steps=5)
+def test_substream_normals_match_per_row_streams(seed, stream, lo, rows, n_steps):
+    # the vectorised key pass reproduces SeedSequence for every row, also
+    # where seed, key or realization index splits into two 32-bit words
+    z = substream_normals(seed, (stream, 0), range(lo, lo + rows), n_steps)
+    expect = np.stack([substream(seed, stream, 0, r).standard_normal(n_steps)
+                       for r in range(lo, lo + rows)])
+    assert np.array_equal(z, expect)
+
+
+def test_substream_normals_reject_bad_words():
+    # nothing that SeedSequence would refuse gets hashed
+    with pytest.raises(ValueError):
+        substream_normals(-1, (0, 0), range(2), 3)
+    with pytest.raises(ValueError):
+        substream_normals(1, (-3, 0), range(2), 3)
+    with pytest.raises(TypeError):
+        substream_normals(1.5, (0, 0), range(2), 3)
+    with pytest.raises(ValueError):
+        substream_normals(1, (0, 0), [-1, 2], 3)
+    with pytest.raises(ValueError):
+        substream_normals(1, (0, 0), range(2), 3, out=np.empty((3, 3)))
+
+
+def test_in_place_filter_matches_fresh_output():
+    model = NoiseModel(alpha=2.0, gamma=0.3)
+    z = np.stack([substream(9, r).standard_normal(40) for r in range(4)])
+    expect = ou_filter(model, z, 0.1)
+    assert np.array_equal(ou_filter(model, z, 0.1, out=z), expect)
+    assert np.array_equal(z, expect)
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -383,6 +383,50 @@ class TestEvolveValidation:
         np.testing.assert_allclose(single, batch[1], atol=1e-12)
 
 
+class TestPerRowSchedules:
+    BUILDERS = {
+        "fid": lambda t: build_fid(t, 2, KAPPA),
+        "cpmg": lambda t: build_cpmg(t, KAPPA),
+        "cpmg_balanced": lambda t: build_balanced(t, KAPPA, base="cpmg"),
+        "mirror": lambda t: build_mirror(t, KAPPA),
+    }
+
+    @pytest.mark.parametrize("axis", ["longitudinal", "transverse"])
+    @pytest.mark.parametrize("scheme", sorted(BUILDERS))
+    def test_stacked_rows_equal_separate_batches(self, scheme, axis):
+        # one scheme at three angles in one call: each row's final state is
+        # bit-for-bit the state of its own schedule's batch
+        schedules = [self.BUILDERS[scheme](t) for t in (0.4, 1.3, 2.6)]
+        grid = prop.StepGrid.from_schedule(schedules[0], 10)
+        rows = [2, 5, 3]
+        noise = np.random.default_rng(8).normal(0.0, 0.2, (sum(rows), grid.total_steps))
+        per_row = [s for s, n in zip(schedules, rows) for _ in range(n)]
+        stacked = prop.evolve_batch(per_row, noise, grid, noise_axis=axis)
+        cuts = np.cumsum(rows)[:-1]
+        expect = np.concatenate([
+            prop.evolve_batch(s, part, grid, noise_axis=axis)
+            for s, part in zip(schedules, np.split(noise, cuts))
+        ])
+        np.testing.assert_array_equal(stacked, expect)
+
+    def test_rejects_schedules_of_different_structure(self):
+        se, cpmg = build_se(1.0, KAPPA), build_cpmg(1.0, KAPPA)
+        grid = prop.StepGrid.from_schedule(se, 10)
+        with pytest.raises(ValueError, match="cone angles"):
+            prop.evolve_batch([se, cpmg], np.zeros((2, grid.total_steps)), grid)
+        with pytest.raises(ValueError, match="schedules for"):
+            prop.evolve_batch([se], np.zeros((2, grid.total_steps)), grid)
+
+    def test_two_states_give_two_coherences(self):
+        # a (2, 2) array is a batch of two states, not a density matrix
+        s = build_cpmg(1.0, KAPPA)
+        states = np.stack([prop.evolve_exact(s), prop.evolve_exact(s, offset=0.05)])
+        z = prop.schedule_coherence(s, states)
+        assert z.shape == (2,)
+        for zi, state in zip(z, states):
+            assert zi == pytest.approx(prop.schedule_coherence(s, state), abs=1e-15)
+
+
 class TestTrace:
     def test_trace_shape_and_norm(self, tmp_path):
         s = build_se(1.0, KAPPA)
