@@ -1,5 +1,5 @@
 """Driven-qubit dephasing under Ornstein-Uhlenbeck noise with decoupling sequences."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import analytics, ensemble, noise, propagator, schedule  # noqa: F401

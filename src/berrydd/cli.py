@@ -61,6 +61,14 @@ _HEADER_NOTES = [
     "# gamma_stderr/W_stderr: bootstrap errors of the mean; *_sample_std: per-realization spread",
 ]
 
+# heads the CSV of an adaptive run
+_ADAPTIVE_NOTES = [
+    f"# adaptive stop: realizations is the first multiple n >= {2 * ensemble._BLOCK} of "
+    f"{ensemble._BLOCK} at which the",
+    "#   delta-method SE of W, 2*std(Re(z*exp(-i*gamma_n)))/sqrt(n) over the first n coherences,",
+    "#   and the bootstrap W_stderr are both below adaptive_target; else the realizations cap",
+]
+
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
@@ -103,7 +111,10 @@ def _result_row(res: ensemble.EnsembleResult) -> list:
 
 def write_results_csv(results, path, notes=()) -> None:
     """Write one row per ensemble with units/provenance header comments."""
-    lines = list(_HEADER_NOTES) + [f"# {n}" for n in notes]
+    lines = list(_HEADER_NOTES)
+    if any(res.config.adaptive for res in results):
+        lines += _ADAPTIVE_NOTES
+    lines += [f"# {n}" for n in notes]
     lines.append(",".join(_RESULT_COLUMNS))
     for res in results:
         lines.append(",".join(_fmt(x) for x in _result_row(res)))
@@ -214,12 +225,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             errors.append(f"unknown field '{name}'")
             continue
         want = _CONFIG_FIELDS[name]
-        try:
-            if want is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(value)  # int() would truncate it silently
-            kwargs[name] = want(value)
-        except (TypeError, ValueError):
+        # a number stands for an int or a float (an int only when integral,
+        # as int() would truncate it silently); a bool or a string only for
+        # its own type
+        number = (want in (int, float) and isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+        if not (type(value) is want or number) or (
+                want is int and not float(value).is_integer()):
             errors.append(f"field '{name}' must be {want.__name__}, got {value!r}")
+            continue
+        kwargs[name] = want(value)
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
     try:
@@ -368,10 +383,16 @@ def rerun_manifest(manifest_path, out_dir) -> int:
     """Re-execute a manifest's config; outputs land in out_dir."""
     man = RunManifest.load(manifest_path)
     cfg = config_from_dict(man.config)
+    notes = list(man.notes)
+    if man.tool_version != __version__:
+        note = (f"manifest written by berrydd {man.tool_version}, rerun with {__version__}: "
+                "results may differ")
+        print(f"warning: {note}", file=sys.stderr)
+        notes.append(note)
     res = run_ensemble(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "single_result.csv"
-    write_results_csv([res], csv_path, notes=man.notes)
+    write_results_csv([res], csv_path, notes=notes)
     print(f"wrote {csv_path}")
     return 0
 

@@ -19,7 +19,17 @@ angles, so all theta points of a scheme step in one call.  Per-row
 results do not depend on the batch a row sits in, so every point's
 results are bit-identical for any worker count and any stacking.  The
 density-matrix reduction sums each point's ``_BLOCK``-row slices in
-block order; adaptive mode steps one point ``_BLOCK`` rows at a time.
+block order.
+
+An adaptive point runs alone, in-process, through the same batches, which
+grow: a first batch of ``_ADAPTIVE_FIRST_ROWS`` rows, then as many whole
+blocks as the delta-method standard error predicts are still missing.  It
+stops at the first ``_BLOCK`` multiple n >= 2 * ``_BLOCK`` at which both
+the delta-method SE of W over the first n coherences (from running sums,
+:func:`_prefix_w_stderr`) and their bootstrap SE are below
+``adaptive_target``; the bootstrap runs only where the delta-method SE
+passes.  The stop is a function of the rows alone, so the batch sizes only
+change the cost; rows past it are dropped.
 
 Each point's zero-noise reference rides along as the row before its
 realization 0.  Its phase gamma_ref carries the scheme-constant offset
@@ -57,9 +67,13 @@ __all__ = [
 
 SCHEME_IDS = tuple(analytics.SCHEMES)
 
-# realizations per rho-reduction block and per adaptive step; fixed so the
-# arithmetic never depends on the batch size or the worker count
+# realizations per rho-reduction block and per adaptive stop candidate;
+# fixed so the arithmetic never depends on the batch size or the worker count
 _BLOCK = 64
+# an adaptive point's first batch, and the margin on the rows it predicts it
+# still needs after each batch
+_ADAPTIVE_FIRST_ROWS = 4 * _BLOCK
+_ADAPTIVE_MARGIN = 1.1
 # noise samples per compute batch (32 MB of float64 paths)
 _BATCH_ELEMS = 1 << 22
 # resample indices drawn per bootstrap chunk
@@ -104,11 +118,26 @@ class ExperimentConfig:
             raise ValueError(f"bad noise_axis {self.noise_axis!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.bootstrap_resamples < 2:
+            raise ValueError(
+                f"bootstrap_resamples must be >= 2, got {self.bootstrap_resamples}")
+        if not (math.isfinite(self.adaptive_target) and self.adaptive_target > 0):
+            raise ValueError(
+                f"adaptive_target must be finite and > 0, got {self.adaptive_target}")
         # the substream keys hash these words; a bad one must not reach a run
         for name in ("master_seed", "stream_key"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not 0.0 < self.theta_a < math.pi:
+            raise ValueError(f"theta_a must lie in (0, pi), got {self.theta_a}")
+        if self.dt_divisor < 1:
+            raise ValueError(f"dt_divisor must be >= 1, got {self.dt_divisor}")
+        self.params()  # DrivenParams names a bad beta, eta or kappa
+        try:
+            propagator.StepGrid.from_schedule(build_schedule(self), self.dt_divisor)
+        except ValueError as exc:
+            raise ValueError(f"kappa = {self.kappa} does not fit the step grid: {exc}") from exc
 
     def params(self) -> analytics.DrivenParams:
         theta_c = None
@@ -206,9 +235,11 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     """Run the configured ensemble and attach the analytic prediction.
 
     Deterministic for a fixed config: the same master seed gives the same
-    estimators for any worker count.  With ``adaptive`` set, blocks keep
-    accumulating until the bootstrap error of W drops below
-    ``adaptive_target`` (or ``realizations`` is reached).  This is the
+    estimators for any worker count.  With ``adaptive`` set, the run keeps
+    the first n realizations, n the smallest multiple of ``_BLOCK`` from
+    2 * ``_BLOCK`` up at which the delta-method and the bootstrap standard
+    errors of W are both below ``adaptive_target``, or all ``realizations``
+    if none is; the reported ``w_stderr`` is that bootstrap's.  This is the
     one-point case of :func:`run_ensembles`.
     """
     return run_ensembles([config])[0]
@@ -242,11 +273,11 @@ def _run_stack(configs):
     first = configs[0]
     grid = propagator.StepGrid.from_schedule(points[0][1], first.dt_divisor)
     counts = [cfg.realizations for cfg in configs]
-    # adaptive mode grows block by block: the stopping rule reads partial results
-    rows = _BLOCK if first.adaptive else _batch_rows(
-        sum(counts), first.workers, grid.total_steps)
+    rows = _batch_rows(sum(counts), first.workers, grid.total_steps)
+    if first.adaptive:  # runs alone
+        return [_run_adaptive(points[0], grid, rows)]
     batches = _batches(counts, rows)
-    parallel = first.workers > 1 and len(batches) > 1 and not first.adaptive
+    parallel = first.workers > 1 and len(batches) > 1
     refs = [None] * len(points)
     parts = [[] for _ in points]  # per point: final states of its realizations
     zs = [[] for _ in points]
@@ -265,19 +296,77 @@ def _run_stack(configs):
                 row += hi - lo
                 parts[p].append(piece)
                 zs[p].append(propagator.schedule_coherence(points[p][1], piece))
-            if first.adaptive and hi >= 2 * _BLOCK:  # one point, hi rows so far
-                _, w_err = bootstrap_errors(
-                    np.concatenate(zs[0]), first.bootstrap_resamples,
-                    noise.substream(first.master_seed, first.stream_key, _NS_BOOTSTRAP),
-                )
-                if w_err < first.adaptive_target:
-                    break
     return [_result(*point, refs[p], np.concatenate(parts[p]), np.concatenate(zs[p]))
             for p, point in enumerate(points)]
 
 
-def _result(config, schedule, model, ref, states, z):
-    """One point's estimators and theory from its final states and coherences."""
+def _run_adaptive(point, grid, rows):
+    """The result of one adaptive point (see :func:`run_ensemble`).
+
+    After each batch the stop candidates it completed are checked in order;
+    the next batch holds the whole blocks the delta-method SE predicts are
+    still missing, plus ``_ADAPTIVE_MARGIN``, at most ``rows``.
+    """
+    config, schedule, _ = point
+    cap, target = config.realizations, config.adaptive_target
+    parts, zs, boot = [], [], {}
+    drawn, used, size = 0, None, _ADAPTIVE_FIRST_ROWS
+    while used is None and drawn < cap:
+        hi = min(cap, drawn + size)
+        states = _run_batch([point], grid, [(0, drawn, hi)])
+        if drawn == 0:
+            ref, states = states[0], states[1:]
+        parts.append(states)
+        zs.append(propagator.schedule_coherence(schedule, states))
+        z = np.concatenate(zs)
+        se = _prefix_w_stderr(z)
+        for n in range(max(2 * _BLOCK, (drawn // _BLOCK + 1) * _BLOCK), hi + 1, _BLOCK):
+            if se[n - 1] < target:
+                boot[n] = bootstrap_errors(
+                    z[:n], config.bootstrap_resamples,
+                    noise.substream(config.master_seed, config.stream_key, _NS_BOOTSTRAP),
+                )
+                if boot[n][1] < target:
+                    used = n
+                    break
+        drawn = hi
+        want = math.ceil(drawn * (se[-1] / target) ** 2 * _ADAPTIVE_MARGIN)
+        size = min(rows, max(_BLOCK, -(-(want - drawn) // _BLOCK) * _BLOCK))
+    used = used or drawn
+    return _result(*point, ref, np.concatenate(parts)[:used], z[:used], boot.get(used))
+
+
+def _prefix_w_stderr(z):
+    """Delta-method SE of W over every prefix: element n-1 is that of z[:n].
+
+    SE_W(n) = 2 std(Re(z e^{-i gamma_n})) / sqrt(n) over z[:n] (ddof 0),
+    gamma_n the phase of their mean (Efron & Tibshirani, *An Introduction
+    to the Bootstrap*, 1993).  All prefixes come from running sums of the
+    real and imaginary parts, their squares and their product.  The sums run
+    over deviations from the first block's mean, in the frame of its phase,
+    so they cancel no more than the spread does, even for coherences spread
+    mostly in phase.
+    """
+    z = np.asarray(z, dtype=complex)
+    shift = z[:_BLOCK].mean()
+    dev = (z - shift) * np.exp(-1j * np.angle(shift))
+    x, y = dev.real, dev.imag
+    n = np.arange(1, len(z) + 1)
+    mx, my, mxx, myy, mxy = (np.cumsum(a) / n for a in (x, y, x * x, y * y, x * y))
+    # gamma_n less the phase of the shift
+    turn = np.angle(abs(shift) + mx + 1j * my)
+    u, v = np.cos(turn), np.sin(turn)
+    along = mx * u + my * v
+    var = mxx * u * u + 2.0 * mxy * u * v + myy * v * v - along * along
+    return 2.0 * np.sqrt(np.maximum(var, 0.0) / n)
+
+
+def _result(config, schedule, model, ref, states, z, errors=None):
+    """One point's estimators and theory from its final states and coherences.
+
+    ``errors`` is the (gamma, W) bootstrap of ``z`` when the caller already
+    ran it.
+    """
     # zero-noise reference on the same grid: scheme-constant phase offset
     z_ref = propagator.schedule_coherence(schedule, ref)
     gamma_ref = float(np.angle(z_ref))
@@ -293,7 +382,7 @@ def _result(config, schedule, model, ref, states, z):
     w = 2.0 * abs(z_mean)
     mean_rho = rho_sum / used
 
-    gamma_stderr, w_stderr = bootstrap_errors(
+    gamma_stderr, w_stderr = errors or bootstrap_errors(
         z, config.bootstrap_resamples,
         noise.substream(config.master_seed, config.stream_key, _NS_BOOTSTRAP),
     )

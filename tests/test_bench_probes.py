@@ -60,3 +60,22 @@ def test_probes_trace_a_stacked_sweep():
     # noise rows are keyed in one pass per point; substream serves the bootstrap
     assert metrics["noise.substream.calls"] == len(results)
     assert metrics["ensemble.bootstrap.calls"] == len(results)
+
+
+def test_probes_trace_an_adaptive_run():
+    # a traced adaptive iteration: one bootstrap where the delta-method SE
+    # first passes, reused for the result, and a few growing batches
+    spans = _load_spans()
+    rec = spans.install_berrydd_probes()
+    try:
+        cfg = ensemble.ExperimentConfig(scheme="fid", theta_a=1.3, beta=0.001, eta=0.4,
+                                        realizations=2000, adaptive=True,
+                                        adaptive_target=0.03)
+        res = ensemble.run_ensemble(cfg)
+        metrics = spans.layer_metrics(rec)
+    finally:
+        rec.restore()
+    assert 128 <= res.realizations_used < 2000
+    assert metrics["ensemble.realizations_used"] == res.realizations_used
+    assert 1 <= metrics["ensemble.bootstrap.calls"] <= 3
+    assert metrics["propagator.propagate.calls"] <= 4

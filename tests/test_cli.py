@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import berrydd
 from berrydd import cli
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "theta_sweep.csv"
@@ -126,6 +127,66 @@ class TestManifestRoundTrip:
         assert code == 0
         assert (out1 / "single_result.csv").read_bytes() == \
             (out2 / "single_result.csv").read_bytes()
+
+
+class TestVersion:
+    def test_pyproject_and_package_agree(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert f'version = "{berrydd.__version__}"' in pyproject.read_text()
+
+    def test_rerun_of_other_version_warns(self, tmp_path, tiny_config, capsys):
+        out1 = tmp_path / "a"
+        assert run_cli(["single", "--config", tiny_config, "--out-dir", out1]) == 0
+        manifest = out1 / "single_manifest.json"
+        man = json.loads(manifest.read_text())
+        assert man["tool_version"] == berrydd.__version__
+        man["tool_version"] = "0.1.0"
+        manifest.write_text(json.dumps(man))
+        capsys.readouterr()
+        out2 = tmp_path / "b"
+        assert run_cli(["single", "--manifest", manifest, "--out-dir", out2]) == 0
+        assert "written by berrydd 0.1.0" in capsys.readouterr().err
+        text = (out2 / "single_result.csv").read_text()
+        assert "# manifest written by berrydd 0.1.0" in text
+        # the rows themselves are those of the first run
+        assert grab_rows(out2 / "single_result.csv") == grab_rows(out1 / "single_result.csv")
+
+
+class TestAdaptiveCsv:
+    def test_header_states_stop_rule_and_keeps_columns(self, tmp_path, tiny_config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scheme": "mirror", "theta_a": 5 * math.pi / 12, "beta": 0.001, "eta": 0.4,
+            "realizations": 400, "adaptive": True}))
+        assert run_cli(["single", "--config", path, "--out-dir", tmp_path / "a"]) == 0
+        assert run_cli(["single", "--config", tiny_config, "--out-dir", tmp_path / "p"]) == 0
+        adaptive = (tmp_path / "a" / "single_result.csv").read_text()
+        plain = (tmp_path / "p" / "single_result.csv").read_text()
+        assert "# adaptive stop:" in adaptive
+        assert "adaptive stop" not in plain
+        header, rows = grab_rows(tmp_path / "a" / "single_result.csv")
+        assert header == grab_rows(tmp_path / "p" / "single_result.csv")[0]
+        assert int(rows[0]["realizations"]) == 128
+
+
+class TestConfigTypes:
+    BASE = {"scheme": "cpmg", "theta_a": 1.0, "beta": 0.001, "eta": 0.4}
+
+    @pytest.mark.parametrize("name, value", [
+        ("adaptive", "false"), ("adaptive", 0), ("kappa", True), ("kappa", "12"),
+        ("realizations", True), ("realizations", "400"), ("realizations", 40.5),
+        ("scheme", 3), ("noise_axis", False),
+    ])
+    def test_other_json_type_is_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            cli.config_from_dict({**self.BASE, name: value})
+
+    def test_numbers_stand_for_ints_and_floats(self):
+        cfg = cli.config_from_dict({**self.BASE, "kappa": 12, "realizations": 400.0,
+                                    "adaptive": False})
+        assert type(cfg.kappa) is float and cfg.kappa == 12.0
+        assert type(cfg.realizations) is int and cfg.realizations == 400
+        assert cfg.adaptive is False
 
 
 class TestFidWindings:

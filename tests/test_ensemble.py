@@ -1,8 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berrydd import analytics as an
 from berrydd import ensemble
@@ -10,6 +12,7 @@ from berrydd import propagator as prop
 from berrydd.cli import config_from_dict
 from berrydd.ensemble import (
     SCHEME_IDS,
+    EnsembleResult,
     ExperimentConfig,
     bootstrap_errors,
     build_schedule,
@@ -66,6 +69,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             make_config(**{name: value})
         data = dict(scheme="cpmg", theta_a=THETA, beta=0.001, eta=0.4, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("name, value", [
+        ("bootstrap_resamples", 0), ("bootstrap_resamples", 1),
+        ("adaptive_target", 0.0), ("adaptive_target", -0.01),
+        ("adaptive_target", math.inf), ("adaptive_target", math.nan),
+        ("beta", 0.0), ("beta", -0.001), ("eta", -0.4),
+        ("theta_a", 0.0), ("theta_a", math.pi), ("theta_a", 4.0),
+        ("dt_divisor", 0),
+        # |l| * kappa * divisor = 31.25 for the quarter-loop cpmg segments
+        ("kappa", 12.5),
+    ])
+    def test_rejects_bad_field_by_name(self, name, value):
+        # each would fail partway through a run, or run and write NaN or a
+        # meaningless stderr; fail at validation instead
+        with pytest.raises(ValueError, match=name):
+            make_config(**{name: value})
+        data = {**dict(scheme="cpmg", theta_a=THETA, beta=0.001, eta=0.4), name: value}
         with pytest.raises(ValueError, match=name):
             config_from_dict(data)
 
@@ -233,6 +255,93 @@ class TestAdaptive:
         res = run_ensemble(make_config(scheme="fid", adaptive=True,
                                        adaptive_target=1e-6, realizations=192))
         assert res.realizations_used == 192
+
+
+def _assert_same_result(res, expect):
+    """Every field but the config is equal, bit for bit."""
+    for f in fields(EnsembleResult):
+        if f.name != "config":
+            np.testing.assert_array_equal(getattr(res, f.name), getattr(expect, f.name),
+                                          err_msg=f.name)
+
+
+def _direct_w_stderr(z):
+    """The delta-method SE of W over all of ``z``, written out."""
+    along = np.real(z * np.exp(-1j * np.angle(z.mean())))
+    return 2.0 * np.std(along) / math.sqrt(len(z))
+
+
+def _brute_force_stop(config):
+    """Where the adaptive rule stops, from every block prefix of a full run."""
+    z = run_ensemble(replace(config, adaptive=False)).coherences
+    for n in range(128, config.realizations + 1, 64):
+        _, w_boot = bootstrap_errors(
+            z[:n], config.bootstrap_resamples,
+            substream(config.master_seed, config.stream_key, 1),
+        )
+        if _direct_w_stderr(z[:n]) < config.adaptive_target and w_boot < config.adaptive_target:
+            return n
+    return config.realizations
+
+
+class TestAdaptiveStopRule:
+    @pytest.mark.parametrize("scheme, axis, target, resamples", [
+        ("fid", "longitudinal", 0.05, 200), ("fid", "longitudinal", 0.03, 200),
+        # needs ~4700 rows: runs to the cap
+        ("fid", "longitudinal", 0.01, 200),
+        ("mirror", "longitudinal", 0.002, 200), ("mirror", "longitudinal", 0.001, 200),
+        ("cpmg", "transverse", 0.01, 200), ("cpmg", "transverse", 0.005, 200),
+        # three resamples make a noisy bootstrap: it vetoes prefixes the
+        # delta-method SE passes
+        ("fid", "longitudinal", 0.05, 3), ("cpmg", "transverse", 0.01, 3),
+    ])
+    def test_matches_brute_force_reference(self, scheme, axis, target, resamples):
+        cfg = make_config(scheme=scheme, noise_axis=axis, adaptive=True,
+                          adaptive_target=target, realizations=1024,
+                          bootstrap_resamples=resamples)
+        res = run_ensemble(cfg)
+        n = _brute_force_stop(cfg)
+        assert res.realizations_used == n
+        # the first n rows of a plain run, with their own bootstrap
+        _assert_same_result(res, run_ensemble(replace(cfg, adaptive=False, realizations=n)))
+        if n < cfg.realizations:
+            assert res.w_stderr < target
+
+    @pytest.mark.parametrize("first_rows, margin, workers", [
+        (64, 1.1, 1), (100, 1.0, 1), (1000, 2.0, 1), (64, 1.0, 2), (256, 1.1, 2),
+    ])
+    def test_batch_growth_changes_no_result(self, monkeypatch, first_rows, margin, workers):
+        cfg = make_config(scheme="fid", adaptive=True, adaptive_target=0.03,
+                          realizations=2000)
+        expect = run_ensemble(cfg)
+        monkeypatch.setattr(ensemble, "_ADAPTIVE_FIRST_ROWS", first_rows)
+        monkeypatch.setattr(ensemble, "_ADAPTIVE_MARGIN", margin)
+        res = run_ensemble(replace(cfg, workers=workers))
+        assert res.realizations_used == expect.realizations_used
+        _assert_same_result(res, expect)
+
+    @settings(max_examples=40, deadline=None)
+    # tight clouds far from zero: raw (unshifted) sums lose ~1e-9 here
+    @example(n=400, seed=0, radius=0.5, phase=0.3, ring=False, log_spread=-3.0)
+    @example(n=400, seed=1, radius=0.5, phase=-2.0, ring=True, log_spread=-3.0)
+    @given(n=st.integers(16, 400), seed=st.integers(0, 2**32 - 1),
+           radius=st.floats(0.01, 0.5), phase=st.floats(-math.pi, math.pi),
+           ring=st.booleans(), log_spread=st.floats(-3.0, 0.0))
+    def test_prefix_stderr_matches_direct_formula(self, n, seed, radius, phase, ring,
+                                                  log_spread):
+        # coherence clouds spread in phase on a ring, or around a point; the
+        # spread stays where the direct formula itself is exact to 1e-12 (two
+        # ring points project equally, so a short prefix's spread is rounding)
+        rng = np.random.default_rng(seed)
+        spread = 10.0 ** log_spread
+        if ring:
+            z = radius * np.exp(1j * (phase + max(0.05, 3 * spread) * rng.standard_normal(n)))
+        else:
+            z = radius * np.exp(1j * phase) + spread * (
+                rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        se = ensemble._prefix_w_stderr(z)
+        for k in range(16, n + 1):
+            assert se[k - 1] == pytest.approx(_direct_w_stderr(z[:k]), rel=1e-12, abs=0)
 
 
 class TestBootstrap:
