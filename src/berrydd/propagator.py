@@ -55,6 +55,10 @@ _ID = np.eye(2, dtype=complex)
 # zero total field inside a step: probability-zero under Gaussian noise,
 # counted instead of crashing
 degenerate_field_count = 0
+# states per readout product: below the size (about 2048 rows in OpenBLAS)
+# at which a threaded BLAS splits a matrix-vector product over threads,
+# whose workers then spin beside the caller and slow it on a small host
+_READOUT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -397,10 +401,12 @@ def schedule_coherence(schedule: Schedule, state):
     em = eigenstate(theta, phi, -1)
     ep = eigenstate(theta, phi, 1)
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 2:  # batch of states
-        am = arr @ em.conj()
-        ap = arr @ ep.conj()
-        return am * np.conj(ap)
+    if arr.ndim == 2:  # batch of states; each row's product is the same in any chunk
+        out = np.empty(len(arr), dtype=complex)
+        for lo in range(0, len(arr), _READOUT_ROWS):
+            blk = arr[lo:lo + _READOUT_ROWS]
+            out[lo:lo + len(blk)] = (blk @ em.conj()) * np.conj(blk @ ep.conj())
+        return out
     return complex((em.conj() @ arr) * np.conj(ep.conj() @ arr))
 
 

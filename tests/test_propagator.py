@@ -426,6 +426,17 @@ class TestPerRowSchedules:
         for zi, state in zip(z, states):
             assert zi == pytest.approx(prop.schedule_coherence(s, state), abs=1e-15)
 
+    def test_batch_coherence_does_not_depend_on_the_split(self):
+        # a batch longer than one readout chunk gives, bit for bit, what
+        # its pieces give alone: ensemble results must not depend on batches
+        s = build_cpmg(1.0, KAPPA)
+        rng = np.random.default_rng(5)
+        shape = (2 * prop._READOUT_ROWS + 37, 2)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        whole = prop.schedule_coherence(s, states)
+        parts = [prop.schedule_coherence(s, part) for part in np.array_split(states, 7)]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+
 
 class TestTrace:
     def test_trace_shape_and_norm(self, tmp_path):
