@@ -65,8 +65,6 @@ __all__ = [
     "FID_WINDINGS",
     "PATTERNS",
     "omega_splitting",
-    "phase_terms",
-    "tilt_angle",
     "chi_fid",
     "chi_se",
     "chi_cpmg",
@@ -194,23 +192,6 @@ def omega_splitting(kappa: float, theta: float):
     exact = math.sqrt((1.0 - w * math.cos(theta)) ** 2 + (w * math.sin(theta)) ** 2)
     expansion = 1.0 - w * math.cos(theta) + 0.5 * w * w * math.sin(theta) ** 2
     return exact, expansion
-
-
-def phase_terms(kappa: float, theta: float, m: float, s: int = 1):
-    """(dynamic, geometric, non-adiabatic) phase of the branch with eigenvalue s
-    after m anticlockwise windings on the theta cone."""
-    if s not in (-1, 1):
-        raise ValueError("s must be +1 or -1")
-    dynamic = -s * math.pi * m * kappa
-    geometric = m * math.pi * (1.0 + s * math.cos(theta))
-    nonadiabatic = -s * (m * math.pi / (2.0 * kappa)) * math.sin(theta) ** 2
-    return dynamic, geometric, nonadiabatic
-
-
-def tilt_angle(kappa: float, theta: float) -> float:
-    """Angle between the bare axis and the co-rotating effective axis."""
-    w = 1.0 / kappa
-    return math.atan2(w * math.sin(theta), 1.0 - w * math.cos(theta))
 
 
 # -- the scheme registry ----------------------------------------------------------

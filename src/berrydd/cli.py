@@ -22,7 +22,6 @@ import datetime
 import json
 import math
 import sys
-import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -33,7 +32,7 @@ from .ensemble import ExperimentConfig, run_ensemble, sweep_beta, sweep_theta
 from .noise import NoiseModel
 from .schedule import KAPPA_WARN
 
-__all__ = ["main", "RunManifest", "write_results_csv", "rerun_manifest"]
+__all__ = ["main", "RunManifest", "write_results_csv"]
 
 
 _RESULT_COLUMNS = [
@@ -168,7 +167,8 @@ def _write_view_csv(results, path, column: str, schemes) -> None:
 
 @dataclass
 class RunManifest:
-    """Resolved config + provenance; rerunning it reproduces the CSVs."""
+    """Resolved config + provenance; ``single --manifest`` reruns a ``single``
+    manifest and reproduces its CSV."""
 
     tool_version: str
     created_utc: str
@@ -183,8 +183,18 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
+        """Read a manifest; a missing or an unknown key raises by name."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"manifest {path} must hold a JSON object, "
+                             f"got {type(data).__name__}")
+        keys = {f.name for f in fields(cls)}
+        errors = ([f"missing key '{k}'" for k in sorted(keys - data.keys())]
+                  + [f"unknown key '{k}'" for k in sorted(data.keys() - keys)])
+        if errors:
+            raise ValueError(f"invalid manifest {path}: " + "; ".join(errors))
+        return cls(**data)
 
 
 def _manifest_for(command, config: ExperimentConfig, outputs, notes):
@@ -208,6 +218,9 @@ _REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSI
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config; unknown or missing fields raise by name."""
+    if not isinstance(data, dict):
+        raise ValueError("invalid config: expected a JSON object of fields, "
+                         f"got {type(data).__name__}")
     errors = []
     for name in _REQUIRED:
         if name not in data:
@@ -349,9 +362,19 @@ def _cmd_filters(args) -> int:
 
 
 def _cmd_single(args) -> int:
+    notes = None
     if args.manifest:
-        return rerun_manifest(args.manifest, args.out_dir)
-    if args.config:
+        man = RunManifest.load(args.manifest)
+        if man.command != "single":
+            raise ValueError(f"manifest {args.manifest} records a '{man.command}' run; "
+                             "single --manifest reruns only 'single' manifests")
+        data, notes = man.config, list(man.notes)
+        if man.tool_version != __version__:
+            note = (f"manifest written by berrydd {man.tool_version}, rerun with "
+                    f"{__version__}: results may differ")
+            print(f"warning: {note}", file=sys.stderr)
+            notes.append(note)
+    elif args.config:
         with open(args.config) as fh:
             data = json.load(fh)
     else:
@@ -368,31 +391,14 @@ def _cmd_single(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    notes = _check_config_warnings(cfg)
+    if notes is None:  # a manifest already carries its run's warnings
+        notes = _check_config_warnings(cfg)
     res = run_ensemble(cfg)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "single_result.csv"
     write_results_csv([res], csv_path, notes=notes)
     _manifest_for("single", cfg, [csv_path], notes).write(out / "single_manifest.json")
-    print(f"wrote {csv_path}")
-    return 0
-
-
-def rerun_manifest(manifest_path, out_dir) -> int:
-    """Re-execute a manifest's config; outputs land in out_dir."""
-    man = RunManifest.load(manifest_path)
-    cfg = config_from_dict(man.config)
-    notes = list(man.notes)
-    if man.tool_version != __version__:
-        note = (f"manifest written by berrydd {man.tool_version}, rerun with {__version__}: "
-                "results may differ")
-        print(f"warning: {note}", file=sys.stderr)
-        notes.append(note)
-    res = run_ensemble(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "single_result.csv"
-    write_results_csv([res], csv_path, notes=notes)
     print(f"wrote {csv_path}")
     return 0
 
@@ -407,6 +413,13 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text):
+        """argparse type of a grid size: an integer >= 1."""
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+        return n
+
     def add_common(p):
         p.add_argument("--kappa", type=float, default=12.0)
         p.add_argument("--realizations", type=int, default=400)
@@ -414,13 +427,17 @@ def main(argv=None) -> int:
         p.add_argument("--dt-divisor", type=int, default=10)
         p.add_argument("--noise-axis", choices=["longitudinal", "transverse"],
                        default="longitudinal")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="process-pool size (at most one process per CPU); results "
+                            "are bit-identical for any value; the pool pays only when "
+                            "a run has more than one compute batch, e.g. at 20000 "
+                            "realizations")
         p.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
 
     p = sub.add_parser("theta-sweep", help="phase/coherence across the slant angle")
     p.add_argument("--beta", type=float, default=0.001)
     p.add_argument("--eta", type=float, default=0.4)
-    p.add_argument("--theta-points", type=int, default=13)
+    p.add_argument("--theta-points", type=count, default=13)
     p.add_argument("--theta-grid", type=str, default="",
                    help="comma-separated angles overriding the default grid")
     add_common(p)
@@ -430,7 +447,7 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=float, default=5 * math.pi / 12)
     p.add_argument("--beta-min", type=float, default=0.005)
     p.add_argument("--beta-max", type=float, default=5.0)
-    p.add_argument("--beta-points", type=int, default=9)
+    p.add_argument("--beta-points", type=count, default=9)
     p.add_argument("--beta-grid", type=str, default="")
     p.add_argument("--eta-per-beta", type=float, default=400.0)
     add_common(p)

@@ -9,7 +9,8 @@ z_r = <-1|psi_r><psi_r|+1>.  The ensemble estimators follow
 
 Realizations run in compute batches of about ``_BATCH_ELEMS`` noise
 samples, fewer when ``workers`` share the rows; a process pool, if any,
-gets one task per batch.  A batch draws each row's normals from that
+gets one task per batch and has at most as many processes as there are
+batches or CPUs.  A batch draws each row's normals from that
 row's own substream (``noise.substream_normals``: one vectorised Philox
 key pass per point of the batch) straight into one path array, filters
 each point's rows there with one OU recursion and evolves all rows with
@@ -41,6 +42,7 @@ from gamma_mean.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -207,6 +209,14 @@ def _batch_rows(realizations, workers, n_steps):
     return min(max(_BLOCK, _BATCH_ELEMS // n_steps), -(-realizations // workers))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def _run_batch(points, grid, batch):
     """Evolve one compute batch; returns the final states of its rows in piece order.
 
@@ -277,11 +287,13 @@ def _run_stack(configs):
     if first.adaptive:  # runs alone
         return [_run_adaptive(points[0], grid, rows)]
     batches = _batches(counts, rows)
-    parallel = first.workers > 1 and len(batches) > 1
+    # a pool forks all its workers at once: never more than the batches or CPUs
+    pool_size = min(first.workers, len(batches), _cpus())
+    parallel = pool_size > 1
     refs = [None] * len(points)
     parts = [[] for _ in points]  # per point: final states of its realizations
     zs = [[] for _ in points]
-    with (ProcessPoolExecutor(max_workers=first.workers) if parallel
+    with (ProcessPoolExecutor(max_workers=pool_size) if parallel
           else nullcontext()) as pool:
         outputs = (pool.map if parallel else map)(
             partial(_run_batch, points, grid), batches

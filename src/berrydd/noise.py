@@ -28,7 +28,6 @@ re-keys one Philox per row by setting its whole state.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 
@@ -40,13 +39,10 @@ __all__ = [
     "NoiseRealization",
     "substream",
     "substream_normals",
-    "ou_init",
-    "ou_step",
     "correlation",
     "spectrum",
     "ou_filter",
     "sample_realization",
-    "write_trace_csv",
 ]
 
 
@@ -201,20 +197,6 @@ def substream_normals(master_seed: int, key: tuple, realizations, n_steps: int,
     return out
 
 
-def ou_init(model: NoiseModel, rng: np.random.Generator) -> float:
-    """Stationary initial sample: Gaussian with mean 0, variance alpha."""
-    return float(np.sqrt(model.alpha) * rng.standard_normal())
-
-
-def ou_step(k_prev: float, dt: float, model: NoiseModel, rng: np.random.Generator) -> float:
-    """Advance one exact OU update over a step of length dt."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    decay = np.exp(-model.gamma * dt)
-    fresh = np.sqrt(model.alpha) * rng.standard_normal()
-    return float(k_prev * decay + fresh * np.sqrt(1.0 - decay * decay))
-
-
 def correlation(model: NoiseModel, tau: float) -> float:
     """Autocorrelation alpha * exp(-gamma |tau|)."""
     return model.alpha * np.exp(-model.gamma * abs(tau))
@@ -256,8 +238,7 @@ def sample_realization(
 ) -> NoiseRealization:
     """Sample a stationary trajectory of ``n_steps`` values on a dt grid.
 
-    Identical to iterating ``ou_step`` from ``ou_init``; it is the one-row
-    case of ``ou_filter``.
+    It is the one-row case of ``ou_filter``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -265,12 +246,3 @@ def sample_realization(
         raise ValueError(f"dt must be > 0, got {dt}")
     z = rng.standard_normal((1, n_steps))
     return NoiseRealization(dt=dt, values=ou_filter(model, z, dt)[0])
-
-
-def write_trace_csv(realization: NoiseRealization, path) -> None:
-    """Dump a realization as (step, t, K3) rows for plotting/debugging."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t", "K3"])
-        for i, v in enumerate(realization.values):
-            w.writerow([i, repr(i * realization.dt), repr(float(v))])

@@ -6,9 +6,11 @@ exponential
 
     U = cos(|B| dt/2) I - i sin(|B| dt/2) (B_hat . sigma).
 
-The drive direction is evaluated at the step midpoint; the noise value is
-held constant over the step.  Swap pulses act at ``pulse`` boundaries,
-``flip`` boundaries reverse the field (state untouched).
+``evolve_batch`` steps a batch of noise paths this way: the drive
+direction is evaluated at the step midpoint and the noise value is held
+constant over the step.  Swap pulses act at ``pulse`` boundaries,
+``flip`` boundaries reverse the field (state untouched), and
+``schedule_coherence`` reads the final states out.
 
 Eigenstate convention for the direction n(theta, phi):
 
@@ -23,9 +25,7 @@ stepping-free oracle in the tests and the quasi-static theory.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +36,9 @@ __all__ = [
     "StepGrid",
     "eigenstate",
     "initial_superposition",
-    "field_at",
-    "step_unitary",
-    "swap_pulse",
-    "readout_coherence",
-    "evolve",
     "evolve_batch",
     "evolve_exact",
-    "bloch_trace",
-    "write_trace_csv",
+    "schedule_coherence",
 ]
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,9 +46,6 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
-# zero total field inside a step: probability-zero under Gaussian noise,
-# counted instead of crashing
-degenerate_field_count = 0
 # states per readout product: below the size (about 2048 rows in OpenBLAS)
 # at which a threaded BLAS splits a matrix-vector product over threads,
 # whose workers then spin beside the caller and slow it on a small host
@@ -119,80 +110,11 @@ def initial_superposition(n0) -> np.ndarray:
     return (eigenstate(theta, phi, 1) + eigenstate(theta, phi, -1)) / math.sqrt(2.0)
 
 
-def field_at(
-    schedule: Schedule, t: float, noise_value: float = 0.0, noise_axis: str = "longitudinal"
-) -> np.ndarray:
-    """Total field vector at time t: drive cone plus the noise contribution."""
-    if t < 0:
-        raise ValueError(f"t = {t} before the schedule starts")
-    durations = schedule.durations()
-    phis = schedule.segment_phi_starts()
-    t_rem = t
-    for seg, dur, phi0 in zip(schedule.segments, durations, phis):
-        if t_rem <= dur or seg is schedule.segments[-1]:
-            if t_rem > dur + 1e-9:
-                raise ValueError(f"t = {t} beyond the schedule end")
-            omega_rf = seg.winding_sign * schedule.omega_b
-            phi = phi0 + omega_rf * t_rem
-            return _total_field(seg.theta, phi, noise_value, noise_axis)
-        t_rem -= dur
-    raise ValueError(f"t = {t} beyond the schedule end")
-
-
-def _total_field(theta, phi, noise_value, noise_axis):
-    st, ct = math.sin(theta), math.cos(theta)
-    if noise_axis == "longitudinal":
-        return np.array([st * math.cos(phi), st * math.sin(phi), ct + noise_value])
-    if noise_axis == "transverse":
-        r = st + noise_value
-        return np.array([r * math.cos(phi), r * math.sin(phi), ct])
-    raise ValueError(f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
-
-
-def step_unitary(field, dt: float) -> np.ndarray:
-    """Exact propagator exp(-i (field.sigma/2) dt) for a constant field."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    field = np.asarray(field, dtype=float)
-    norm = np.linalg.norm(field)
-    if norm == 0.0:
-        global degenerate_field_count
-        degenerate_field_count += 1
-        warnings.warn("zero total field in a step; returning identity", stacklevel=2)
-        return _ID.copy()
-    h = 0.5 * norm * dt
-    u = field / norm
-    return math.cos(h) * _ID - 1j * math.sin(h) * (u[0] * _SX + u[1] * _SY + u[2] * _SZ)
-
-
-def swap_pulse(n) -> np.ndarray:
-    """Pi pulse m.sigma about the equatorial axis m = z x n / |z x n|.
-
-    m is orthogonal to n (and to z), so the pulse anticommutes with
-    n.sigma and exchanges its eigenstates; m = x when n is along z.
-    """
-    n = np.asarray(n, dtype=float)
-    # m = (-sin phi, cos phi, 0) with phi the azimuth of n; -pi/2 gives m = x
-    phi = math.atan2(n[1], n[0]) if math.hypot(n[0], n[1]) >= 1e-15 else -0.5 * math.pi
-    return np.array(_pulse(phi, *_ID))
-
-
 def _pulse(phi, p0, p1):
     """The pulse -sin(phi) sx + cos(phi) sy = [[0, -i e^{-i phi}], [i e^{i phi}, 0]]
     applied to the state components (p0, p1)."""
     f = np.exp(1j * phi)
     return -1j * np.conj(f) * p1, 1j * f * p0
-
-
-def readout_coherence(state_or_rho, n_final) -> complex:
-    """Off-diagonal element <-1|rho|+1> in the eigenbasis of n_final."""
-    theta, phi = _vector_to_angles(n_final)
-    em = eigenstate(theta, phi, -1)
-    ep = eigenstate(theta, phi, 1)
-    arr = np.asarray(state_or_rho, dtype=complex)
-    if arr.ndim == 1:
-        return complex((em.conj() @ arr) * np.conj(ep.conj() @ arr))
-    return complex(em.conj() @ arr @ ep)
 
 
 def _direction(theta, phi):
@@ -229,15 +151,29 @@ def _per_row(schedule, nreal):
     return distinct, lambda values: np.asarray(values)[index]
 
 
-def _states(schedule, noise_values, grid, initial, noise_axis):
-    """The stepper behind evolve_batch and bloch_trace: yield (p0, p1) arrays.
+def evolve_batch(
+    schedule: Schedule,
+    noise_values: np.ndarray,
+    grid: StepGrid,
+    initial: np.ndarray = None,
+    noise_axis: str = "longitudinal",
+) -> np.ndarray:
+    """Evolve a batch of realizations through the schedule.
 
-    noise_values has shape (R, total_steps); ``schedule`` is one Schedule
-    or one per row (see ``evolve_batch``).  The first yield is the
-    initial state, then one per step; a pulse that ends a segment (or the
-    schedule) is applied before the state after that step is yielded.
-    Flips apply no unitary.
+    noise_values has shape (R, total_steps): one piecewise-constant noise
+    path per realization.  Returns the (R, 2) final states.  Each state is
+    advanced per step with the exact constant-field exponential; a pulse
+    that ends a segment (or the schedule) acts after that segment's last
+    step, and flips apply no unitary.
+
+    ``schedule`` is one Schedule that drives every row, or a sequence of R
+    schedules, one per row, that differ only in their cone angles (same
+    windings, boundary kinds, kappa and start azimuth), such as one scheme
+    at several theta.  Each row then starts in its own schedule's initial
+    superposition and steps with its own angles; a row's final state is
+    the same whichever rows share its batch.
     """
+    noise_values = np.atleast_2d(np.asarray(noise_values, dtype=float))
     nreal, nsteps = noise_values.shape
     if nsteps != grid.total_steps:
         raise ValueError(
@@ -255,7 +191,6 @@ def _states(schedule, noise_values, grid, initial, noise_axis):
                           for s in distinct])
     psi0 = np.broadcast_to(np.asarray(initial, dtype=complex), (nreal, 2))
     p0, p1 = psi0[:, 0], psi0[:, 1]
-    yield p0, p1
 
     dt = grid.dt
     phis = schedule.segment_phi_starts()
@@ -266,8 +201,7 @@ def _states(schedule, noise_values, grid, initial, noise_axis):
         st = spread([math.sin(s.segments[k].theta) for s in distinct])
         ct = spread([math.cos(s.segments[k].theta) for s in distinct])
         phi0 = phis[k]
-        last = grid.steps_per_segment[k] - 1
-        for j in range(last + 1):
+        for j in range(grid.steps_per_segment[k]):
             phi_mid = phi0 + omega_rf * (j + 0.5) * dt
             cphi, sphi = math.cos(phi_mid), math.sin(phi_mid)
             kval = noise_values[:, i]
@@ -292,46 +226,9 @@ def _states(schedule, noise_values, grid, initial, noise_axis):
             n1 = (sy - 1j * sx) * p0 + (c + 1j * sz) * p1
             p0, p1 = n0, n1
             i += 1
-            if j == last and swaps[k] == "pulse":
-                p0, p1 = _pulse(phi0 + 2.0 * math.pi * float(seg.l), p0, p1)
-            yield p0, p1
-
-
-def evolve_batch(
-    schedule: Schedule,
-    noise_values: np.ndarray,
-    grid: StepGrid,
-    initial: np.ndarray = None,
-    noise_axis: str = "longitudinal",
-) -> np.ndarray:
-    """Evolve a batch of realizations through the schedule.
-
-    noise_values has shape (R, total_steps): one piecewise-constant noise
-    path per realization.  Returns the (R, 2) final states.  Each state is
-    advanced per step with the exact constant-field exponential.
-
-    ``schedule`` is one Schedule that drives every row, or a sequence of R
-    schedules, one per row, that differ only in their cone angles (same
-    windings, boundary kinds, kappa and start azimuth), such as one scheme
-    at several theta.  Each row then starts in its own schedule's initial
-    superposition and steps with its own angles; a row's final state is
-    the same whichever rows share its batch.
-    """
-    noise_values = np.atleast_2d(np.asarray(noise_values, dtype=float))
-    for p0, p1 in _states(schedule, noise_values, grid, initial, noise_axis):
-        pass
+        if swaps[k] == "pulse":
+            p0, p1 = _pulse(phi0 + 2.0 * math.pi * float(seg.l), p0, p1)
     return np.stack([p0, p1], axis=1)
-
-
-def evolve(schedule: Schedule, noise, grid: StepGrid, initial=None,
-           noise_axis: str = "longitudinal") -> np.ndarray:
-    """Evolve a single realization; returns the final 2-component state."""
-    if hasattr(noise, "values"):
-        if abs(noise.dt - grid.dt) > 1e-12:
-            raise ValueError(f"realization dt {noise.dt} differs from grid dt {grid.dt}")
-        noise = noise.values
-    return evolve_batch(schedule, np.asarray(noise, dtype=float)[None, :], grid, initial,
-                        noise_axis)[0]
 
 
 # -- closed form for constant noise ------------------------------------------
@@ -395,7 +292,6 @@ def schedule_coherence(schedule: Schedule, state):
 
     ``state`` is one state (2,), giving a complex, or a batch (R, 2) of
     states, giving R coherences; two rows are two states.
-    (:func:`readout_coherence` takes density matrices.)
     """
     theta, phi = schedule.readout_direction()
     em = eigenstate(theta, phi, -1)
@@ -408,38 +304,3 @@ def schedule_coherence(schedule: Schedule, state):
             out[lo:lo + len(blk)] = (blk @ em.conj()) * np.conj(blk @ ep.conj())
         return out
     return complex((em.conj() @ arr) * np.conj(ep.conj() @ arr))
-
-
-# -- diagnostics -------------------------------------------------------------
-
-
-def bloch_trace(schedule: Schedule, noise, grid: StepGrid, initial=None,
-                noise_axis: str = "longitudinal") -> np.ndarray:
-    """(total_steps+1, 4) array of (t, bx, by, bz) along one evolution.
-
-    Row 0 is the initial state at t = 0 and row i the state after step i,
-    recorded from the stepper of :func:`evolve_batch`, so the last row is
-    the Bloch vector of its final state.
-    """
-    values = noise.values if hasattr(noise, "values") else np.asarray(noise, dtype=float)
-    out = np.empty((grid.total_steps + 1, 4))
-    out[:, 0] = grid.dt * np.arange(grid.total_steps + 1)
-    states = _states(schedule, values[None, :], grid, initial, noise_axis)
-    for row, (p0, p1) in zip(out, states):
-        c = np.conj(p0[0]) * p1[0]
-        row[1:] = 2.0 * c.real, 2.0 * c.imag, abs(p0[0]) ** 2 - abs(p1[0]) ** 2
-    return out
-
-
-def write_trace_csv(trace: np.ndarray, path) -> None:
-    """Write a :func:`bloch_trace` array as CSV with columns ``t,bx,by,bz``.
-
-    One header line, then one line per trace row (total_steps + 1 rows,
-    the first at t = 0); values are written with ``repr`` so they
-    round-trip exactly.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "bx", "by", "bz"])
-        for row in trace:
-            w.writerow([repr(float(x)) for x in row])

@@ -29,7 +29,6 @@ direction accounts for it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -165,70 +164,6 @@ class Schedule:
         if self.final == "flip":
             return math.pi - theta, phi + math.pi
         return theta, phi
-
-    @property
-    def final_pulse(self) -> bool:
-        """True when a closing swap (of either kind) is appended."""
-        return self.final is not None
-
-    def pulse_count(self) -> int:
-        """Number of physical pi pulses applied (flips are not pulses)."""
-        n = sum(1 for b in self.boundaries if b == "pulse")
-        return n + (1 if self.final == "pulse" else 0)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "omega_B_over_B0": self.omega_b,
-            "phi0": self.phi0,
-            "segments": [
-                {
-                    "theta": seg.theta,
-                    "l_num": seg.l.numerator,
-                    "l_den": seg.l.denominator,
-                    "s": seg.s,
-                }
-                for seg in self.segments
-            ],
-            "final_pulse": self.final_pulse,
-            # extension fields: exact boundary kinds (a bare final_pulse flag
-            # cannot distinguish a closing pulse from a closing reversal)
-            "boundaries": list(self.boundaries),
-            "final": self.final,
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        data = json.loads(text)
-        segs = tuple(
-            SegmentSpec(
-                theta=d["theta"],
-                l=Fraction(d["l_num"], d["l_den"]),
-                s=d["s"],
-            )
-            for d in data["segments"]
-        )
-        if "boundaries" in data:
-            boundaries = tuple(data["boundaries"])
-            final = data.get("final")
-        else:
-            # legacy payloads: infer flips from mirrored-theta adjacency
-            boundaries = tuple(
-                "flip"
-                if abs(b.theta - (math.pi - a.theta)) < 1e-9 and abs(b.theta - a.theta) > 1e-9
-                else "pulse"
-                for a, b in zip(segs[:-1], segs[1:])
-            )
-            final = "pulse" if data.get("final_pulse") else None
-        return cls(
-            segments=segs,
-            kappa=1.0 / data["omega_B_over_B0"],
-            phi0=data.get("phi0", 0.0),
-            boundaries=boundaries,
-            final=final,
-        )
 
 
 # -- builders --------------------------------------------------------------

@@ -101,30 +101,6 @@ class TestSplittingAndPhases:
         exact, _ = an.omega_splitting(1e12, 1.3)
         assert exact == pytest.approx(1.0, abs=1e-11)
 
-    def test_geometric_term(self):
-        for theta in (0.4, 1.2):
-            for s in (1, -1):
-                _, berry, _ = an.phase_terms(KAPPA, theta, 2, s)
-                assert berry == pytest.approx(2 * math.pi * (1 + s * math.cos(theta)))
-
-    def test_equator_geometric_phase(self):
-        for s in (1, -1):
-            _, berry, _ = an.phase_terms(KAPPA, math.pi / 2, 1, s)
-            assert berry == pytest.approx(math.pi)
-
-    def test_nonadiabatic_term(self):
-        _, _, na_plus = an.phase_terms(12.0, math.pi / 3, 1, 1)
-        _, _, na_minus = an.phase_terms(12.0, math.pi / 3, 1, -1)
-        assert na_plus == pytest.approx(-0.0982, abs=1e-4)
-        assert na_minus == -na_plus
-
-    def test_tilt_angle(self):
-        assert an.tilt_angle(KAPPA, 0.0) == 0.0
-        assert an.tilt_angle(1e12, 1.0) == pytest.approx(0.0, abs=1e-11)
-        assert an.tilt_angle(12.0, math.pi / 2) == pytest.approx(
-            math.atan(1 / 12), rel=1e-12)
-        assert an.tilt_angle(12.0, math.pi / 2) == pytest.approx(0.0831, abs=1e-4)
-
 
 class TestClosedFormRates:
     def test_fid_reference(self):

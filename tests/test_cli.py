@@ -129,6 +129,55 @@ class TestManifestRoundTrip:
             (out2 / "single_result.csv").read_bytes()
 
 
+class TestBadInput:
+    # bad input ends in an "error:" line naming the flag, field or key, not a traceback
+    MANIFEST = {"tool_version": berrydd.__version__, "created_utc": "", "command": "single",
+                "config": {"scheme": "cpmg", "theta_a": 1.0, "beta": 0.001, "eta": 0.4,
+                           "realizations": 8},
+                "outputs": [], "notes": []}
+
+    @staticmethod
+    def error_text(args, capsys):
+        try:
+            code = run_cli(args)
+        except SystemExit as exc:  # argparse rejects a flag's value
+            code = exc.code
+        assert code != 0
+        err = capsys.readouterr().err
+        assert "error:" in err
+        return err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("theta-sweep", "--theta-points"), ("beta-sweep", "--beta-points"),
+    ])
+    def test_empty_grid_is_rejected_by_flag(self, tmp_path, capsys, command, flag):
+        assert flag in self.error_text([command, flag, 0, "--out-dir", tmp_path], capsys)
+
+    def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        err = self.error_text(["single", "--config", path, "--out-dir", tmp_path / "o"],
+                              capsys)
+        assert "config" in err and "list" in err
+
+    @pytest.mark.parametrize("extra, missing", [({"bogus": 1}, None), ({}, "notes")])
+    def test_manifest_key_is_rejected_by_name(self, tmp_path, capsys, extra, missing):
+        man = {k: v for k, v in {**self.MANIFEST, **extra}.items() if k != missing}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(man))
+        err = self.error_text(["single", "--manifest", path, "--out-dir", tmp_path / "o"],
+                              capsys)
+        assert f"'{missing or 'bogus'}'" in err
+
+    def test_sweep_manifest_is_not_rerun_as_single(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**self.MANIFEST, "command": "theta-sweep"}))
+        out = tmp_path / "o"
+        assert "'theta-sweep'" in self.error_text(
+            ["single", "--manifest", path, "--out-dir", out], capsys)
+        assert not out.exists()
+
+
 class TestVersion:
     def test_pyproject_and_package_agree(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -237,6 +237,35 @@ class TestDeterminism:
         np.testing.assert_array_equal(res.mean_rho, expect["mean_rho"])
         assert res.w_stderr == expect["w_stderr"]
 
+    @pytest.mark.parametrize("realizations, workers, cpus, pool", [
+        (200, 50, 8, 8), (2, 50, 8, 2), (200, 50, 1, None),
+    ])
+    def test_pool_is_capped_at_batches_and_cpus(self, monkeypatch, realizations, workers,
+                                                cpus, pool):
+        # a pool forks all its workers at its first task; the fake records its
+        # size and maps in-process, so no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(ensemble, "_cpus", lambda: cpus)
+        res = run_ensemble(make_config(realizations=realizations, workers=workers))
+        assert sizes == ([] if pool is None else [pool])
+        expect = run_ensemble(make_config(realizations=realizations))
+        np.testing.assert_array_equal(res.coherences, expect.coherences)
+
     def test_different_seeds_differ(self):
         a = run_ensemble(make_config(realizations=64))
         b = run_ensemble(make_config(realizations=64, master_seed=7))

@@ -9,13 +9,10 @@ from berrydd.noise import (
     NoiseModel,
     correlation,
     ou_filter,
-    ou_init,
-    ou_step,
     sample_realization,
     spectrum,
     substream,
     substream_normals,
-    write_trace_csv,
 )
 
 
@@ -37,44 +34,46 @@ class TestModelValidation:
 
 
 class TestInit:
+    # column 0 of an OU path is the stationary draw sqrt(alpha) * z
+
     def test_zero_power_is_always_zero(self):
         model = NoiseModel(alpha=0.0, gamma=1.0)
-        rng = substream(1, 0)
-        assert all(ou_init(model, rng) == 0.0 for _ in range(100))
+        z = substream(1, 0).standard_normal((100, 2))
+        assert np.all(ou_filter(model, z, 0.1) == 0.0)
 
     def test_variance_matches_alpha(self):
         # law of large numbers on the generator itself
         model = NoiseModel(alpha=1.0, gamma=1.0)
-        rng = substream(2, 0)
-        draws = np.array([ou_init(model, rng) for _ in range(100_000)])
+        draws = ou_filter(model, substream(2, 0).standard_normal((100_000, 1)), 0.1)[:, 0]
         assert abs(draws.var() - 1.0) < 0.02
         assert abs(draws.mean()) < 0.02
 
     def test_std_scales_with_sqrt_alpha(self):
         model = NoiseModel(alpha=0.25, gamma=1.0)
-        rng = substream(3, 0)
-        draws = np.array([ou_init(model, rng) for _ in range(100_000)])
+        draws = ou_filter(model, substream(3, 0).standard_normal((100_000, 1)), 0.1)[:, 0]
         assert abs(draws.std() - 0.5) < 0.01
 
 
 class TestStep:
+    # column 1 of an OU path is one exact update of column 0
+
     def test_full_memory_limit(self):
         # gamma*dt -> 0 keeps the previous value
         model = NoiseModel(alpha=1.0, gamma=1e-14)
-        rng = substream(4, 0)
-        assert ou_step(1.2345, 1e-6, model, rng) == pytest.approx(1.2345, abs=1e-8)
+        z = np.array([[1.2345, substream(4, 0).standard_normal()]])
+        assert ou_filter(model, z, 1e-6)[0, 1] == pytest.approx(1.2345, abs=1e-8)
 
     def test_memoryless_limit(self):
-        # gamma*dt -> inf draws fresh Gaussian(0, alpha), independent of k_prev
+        # gamma*dt -> inf draws fresh Gaussian(0, alpha), independent of the previous value
         model = NoiseModel(alpha=1.0, gamma=1e6)
-        vals = [ou_step(1e6, 1.0, model, substream(5, i)) for i in range(2000)]
-        vals = np.array(vals)
+        z = np.column_stack([np.full(2000, 1e6), substream(5, 0).standard_normal(2000)])
+        vals = ou_filter(model, z, 1.0)[:, 1]
         assert abs(vals.mean()) < 0.1
         assert abs(vals.var() - 1.0) < 0.15
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            ou_step(0.0, 0.0, NoiseModel(1.0, 1.0), substream(0, 0))
+            ou_filter(NoiseModel(1.0, 1.0), np.zeros((1, 2)), 0.0)
 
     def test_lag_one_autocorrelation(self):
         # empirical autocorrelation vs exp(-gamma*dt), 1e6 steps
@@ -186,7 +185,7 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
     def test_matches_explicit_stepping(self):
-        # sample_realization implements exactly the ou_init/ou_step recursion
+        # sample_realization implements exactly the stationary start and OU update
         model = NoiseModel(alpha=0.8, gamma=1.3)
         vals = sample_realization(model, 50, 0.2, substream(9, 0)).values
         rng = substream(9, 0)
@@ -260,17 +259,3 @@ def test_in_place_filter_matches_fresh_output():
     expect = ou_filter(model, z, 0.1)
     assert np.array_equal(ou_filter(model, z, 0.1, out=z), expect)
     assert np.array_equal(z, expect)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    model = NoiseModel(alpha=1.0, gamma=1.0)
-    real = sample_realization(model, 10, 0.5, substream(1, 1))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(real, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,t,K3"
-    assert len(lines) == 11
-    step, t, k3 = lines[3].split(",")
-    assert int(step) == 2
-    assert float(t) == pytest.approx(1.0)
-    assert float(k3) == pytest.approx(real.values[2], rel=1e-15)

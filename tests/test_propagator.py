@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from berrydd import propagator as prop
 from berrydd.analytics import omega_splitting
-from berrydd.noise import NoiseRealization
 from berrydd.schedule import (
     Schedule,
     SegmentSpec,
@@ -52,6 +52,11 @@ def wrap(x):
     return (x + np.pi) % (2 * np.pi) - np.pi
 
 
+def pulse_matrix(phi):
+    """The matrix of the pi pulse the stepper applies at drive azimuth phi."""
+    return np.array(prop._pulse(phi, *np.eye(2, dtype=complex)))
+
+
 def noiseless_coherence(schedule, divisor=10):
     grid = prop.StepGrid.from_schedule(schedule, divisor)
     state = prop.evolve_batch(schedule, np.zeros((1, grid.total_steps)), grid)[0]
@@ -74,47 +79,21 @@ class TestStepGrid:
         assert grid.steps_per_segment == (125, 250, 125)
 
 
-class TestStepUnitary:
-    def test_zero_dt_is_identity(self):
-        u = prop.step_unitary([0.3, -0.2, 0.9], 0.0)
-        np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
-
-    def test_z_field_full_period_is_minus_identity(self):
-        # exact exponential of sigma_z: diag(e^{-i pi}, e^{i pi}) = -I
-        u = prop.step_unitary([0.0, 0.0, 1.0], 2 * math.pi)
-        np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
-
-    @given(n=unit_vectors, scale=st.floats(0.1, 3.0), dt=st.floats(0.0, 5.0))
-    @settings(max_examples=100)
-    def test_unitarity(self, n, scale, dt):
-        u = prop.step_unitary(scale * n, dt)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-    def test_zero_field_warns_and_counts(self):
-        before = prop.degenerate_field_count
-        with pytest.warns(UserWarning, match="zero total field"):
-            u = prop.step_unitary([0.0, 0.0, 0.0], 0.1)
-        np.testing.assert_allclose(u, np.eye(2))
-        assert prop.degenerate_field_count == before + 1
-
-
 class TestSwapPulse:
-    def test_pole_axis_gives_sigma_x(self):
-        np.testing.assert_allclose(
-            prop.swap_pulse([0, 0, 1.0]), [[0, 1], [1, 0]], atol=1e-15)
+    # the pi pulse the stepper applies at a segment's end azimuth phi
 
     @given(n=unit_vectors)
     @settings(max_examples=100)
     def test_anticommutes_with_field(self, n):
-        p = prop.swap_pulse(n)
+        p = pulse_matrix(math.atan2(n[1], n[0]))
         ns = n[0] * np.array([[0, 1], [1, 0]]) + n[1] * np.array([[0, -1j], [1j, 0]]) \
             + n[2] * np.array([[1, 0], [0, -1]])
         np.testing.assert_allclose(p @ ns @ p, -ns, atol=1e-12)
 
-    @given(n=unit_vectors)
+    @given(phi=st.floats(-math.pi, math.pi))
     @settings(max_examples=50)
-    def test_involution(self, n):
-        p = prop.swap_pulse(n)
+    def test_involution(self, phi):
+        p = pulse_matrix(phi)
         np.testing.assert_allclose(p @ p, np.eye(2), atol=1e-12)
 
     @given(n=unit_vectors)
@@ -122,7 +101,7 @@ class TestSwapPulse:
     def test_exchanges_eigenstates(self, n):
         theta = math.acos(np.clip(n[2], -1, 1))
         phi = math.atan2(n[1], n[0])
-        p = prop.swap_pulse(n)
+        p = pulse_matrix(phi)
         up = prop.eigenstate(theta, phi, 1)
         down = prop.eigenstate(theta, phi, -1)
         assert abs(down.conj() @ (p @ up)) == pytest.approx(1.0, abs=1e-12)
@@ -152,46 +131,16 @@ class TestStatesAndReadout:
     @given(n=unit_vectors)
     @settings(max_examples=50)
     def test_immediate_readout_is_half(self, n):
-        z = prop.readout_coherence(prop.initial_superposition(n), n)
+        # a whole-winding loop reads out in the basis it started in
+        theta = math.acos(np.clip(n[2], -1, 1))
+        s = replace(build_fid(theta, 2, KAPPA), phi0=math.atan2(n[1], n[0]))
+        z = prop.schedule_coherence(s, prop.initial_superposition(n))
         assert z == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_eigenstate_reads_zero(self):
-        n = np.array([0.6, 0.0, 0.8])
-        theta, phi = math.acos(0.8), 0.0
-        z = prop.readout_coherence(prop.eigenstate(theta, phi, 1), n)
+        theta = math.acos(0.8)
+        z = prop.schedule_coherence(build_fid(theta, 2, KAPPA), prop.eigenstate(theta, 0.0, 1))
         assert abs(z) < 1e-14
-
-    def test_density_matrix_input(self):
-        n = np.array([0.0, 0.0, 1.0])
-        psi = prop.initial_superposition(n)
-        rho = np.outer(psi, psi.conj())
-        assert prop.readout_coherence(rho, n) == pytest.approx(0.5, abs=1e-12)
-
-
-class TestFieldAt:
-    def test_near_pole_field(self):
-        s = build_fid(1e-9, 1, KAPPA)
-        b = prop.field_at(s, 0.0, 0.0)
-        np.testing.assert_allclose(b, [0, 0, 1.0], atol=1e-8)
-
-    def test_longitudinal_offset_is_pure_z(self):
-        s = build_se(0.9, KAPPA)
-        t = 3.7
-        diff = prop.field_at(s, t, 0.25) - prop.field_at(s, t, 0.0)
-        np.testing.assert_allclose(diff, [0, 0, 0.25], atol=1e-14)
-
-    def test_transverse_equator_field(self):
-        s = build_fid(math.pi / 2 - 1e-15, 1, KAPPA)
-        b = prop.field_at(s, 0.0, 0.1, noise_axis="transverse")
-        np.testing.assert_allclose(b, [1.1, 0, 0], atol=1e-9)
-        assert np.linalg.norm(b) == pytest.approx(1.1, abs=1e-9)
-
-    def test_out_of_range(self):
-        s = build_se(0.9, KAPPA)
-        with pytest.raises(ValueError):
-            prop.field_at(s, -1.0)
-        with pytest.raises(ValueError):
-            prop.field_at(s, s.total_time + 1.0)
 
 
 class TestNoiselessEvolution:
@@ -285,10 +234,8 @@ class TestNoiselessEvolution:
 class TestSwapCorrectness:
     def test_pulsed_eigenstate_lands_on_partner(self):
         theta, phi = 1.1, 0.7
-        n = np.array([math.sin(theta) * math.cos(phi),
-                      math.sin(theta) * math.sin(phi), math.cos(theta)])
         up = prop.eigenstate(theta, phi, 1)
-        out = prop.swap_pulse(n) @ up
+        out = pulse_matrix(phi) @ up
         down = prop.eigenstate(theta, phi, -1)
         assert abs(down.conj() @ out) == pytest.approx(1.0, abs=1e-12)
 
@@ -364,14 +311,7 @@ class TestEvolveValidation:
         s = build_se(1.0, KAPPA)
         grid = prop.StepGrid.from_schedule(s, 10)
         with pytest.raises(ValueError, match="steps"):
-            prop.evolve(s, NoiseRealization(dt=grid.dt, values=np.zeros(7)), grid)
-
-    def test_noise_dt_mismatch(self):
-        s = build_se(1.0, KAPPA)
-        grid = prop.StepGrid.from_schedule(s, 10)
-        bad = NoiseRealization(dt=grid.dt * 2, values=np.zeros(grid.total_steps))
-        with pytest.raises(ValueError, match="dt"):
-            prop.evolve(s, bad, grid)
+            prop.evolve_batch(s, np.zeros((1, 7)), grid)
 
     def test_single_matches_batch_row(self):
         s = build_cpmg(1.0, KAPPA)
@@ -379,7 +319,7 @@ class TestEvolveValidation:
         rng = np.random.default_rng(5)
         vals = rng.normal(0, 0.05, size=(3, grid.total_steps))
         batch = prop.evolve_batch(s, vals, grid)
-        single = prop.evolve(s, vals[1], grid)
+        single = prop.evolve_batch(s, vals[1], grid)[0]
         np.testing.assert_allclose(single, batch[1], atol=1e-12)
 
 
@@ -438,33 +378,12 @@ class TestPerRowSchedules:
         np.testing.assert_array_equal(whole, np.concatenate(parts))
 
 
-class TestTrace:
-    def test_trace_shape_and_norm(self, tmp_path):
-        s = build_se(1.0, KAPPA)
-        grid = prop.StepGrid.from_schedule(s, 10)
-        tr = prop.bloch_trace(s, np.zeros(grid.total_steps), grid)
-        assert tr.shape == (grid.total_steps + 1, 4)
-        norms = np.linalg.norm(tr[:, 1:], axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-9)
-        # starts at the x-axis of the initial cone frame: b = x-ish combination
-        prop.write_trace_csv(tr, tmp_path / "tr.csv")
-        lines = (tmp_path / "tr.csv").read_text().splitlines()
-        assert lines[0] == "t,bx,by,bz"
-        assert len(lines) == grid.total_steps + 2
-
+class TestStepper:
     @given(schedule=random_schedules(), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(0.0, 1.0), axis=st.sampled_from(["longitudinal", "transverse"]))
     @settings(max_examples=60, deadline=None)
-    def test_stepper_keeps_norm_and_trace_ends_on_final_state(self, schedule, seed, scale, axis):
-        # evolve_batch and bloch_trace share one stepper: the batch keeps
-        # the norm, and the trace's last row is the final state's Bloch vector
+    def test_stepper_keeps_norm_over_random_schedules(self, schedule, seed, scale, axis):
         grid = prop.StepGrid.from_schedule(schedule, 2)
         noise = np.random.default_rng(seed).normal(0.0, scale, (3, grid.total_steps))
         states = prop.evolve_batch(schedule, noise, grid, noise_axis=axis)
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
-        p0, p1 = prop.evolve_batch(schedule, noise[:1], grid, noise_axis=axis)[0]
-        c = np.conj(p0) * p1
-        trace = prop.bloch_trace(schedule, noise[0], grid, noise_axis=axis)
-        np.testing.assert_array_equal(
-            trace[-1], [grid.total_steps * grid.dt, 2 * c.real, 2 * c.imag,
-                        abs(p0) ** 2 - abs(p1) ** 2])

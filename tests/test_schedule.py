@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -56,7 +55,7 @@ class TestBuilders:
         assert len(s.segments) == 1
         assert s.segments[0].l == 2
         assert s.segments[0].s == -1
-        assert not s.final_pulse
+        assert s.final is None  # no closing swap
         # duration 2*pi*|l|*kappa = 4*pi*kappa = T
         assert s.total_time == pytest.approx(4 * math.pi * KAPPA, rel=1e-15)
 
@@ -287,37 +286,5 @@ class TestStructuralInvariants:
 
     def test_mirror_pulse_count_even(self):
         # two physical pulses; the flips are field reversals, not pulses
-        assert build_mirror(1.0, KAPPA).pulse_count() == 2
-        assert build_se(1.0, KAPPA).pulse_count() == 2
-        assert build_cpmg(1.0, KAPPA).pulse_count() == 2
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [
-        lambda: build_fid(0.77, 2, KAPPA),
-        lambda: build_se(0.77, KAPPA),
-        lambda: build_cpmg(0.77, KAPPA),
-        lambda: build_balanced(0.77, KAPPA, base="cpmg"),
-        lambda: build_mirror(0.77, KAPPA),
-    ])
-    def test_round_trip(self, make):
-        s = make()
-        t = Schedule.from_json(s.to_json())
-        assert t == s
-
-    def test_schema_fields(self):
-        data = json.loads(build_cpmg(0.5, KAPPA).to_json())
-        assert data["omega_B_over_B0"] == pytest.approx(1 / KAPPA)
-        assert data["final_pulse"] is False
-        seg = data["segments"][0]
-        assert set(seg) == {"theta", "l_num", "l_den", "s"}
-        assert (seg["l_num"], seg["l_den"]) == (1, 2)
-
-    def test_legacy_payload_infers_flips(self):
-        s = build_mirror(0.8, KAPPA)
-        data = json.loads(s.to_json())
-        del data["boundaries"], data["final"]
-        data["final_pulse"] = True
-        t = Schedule.from_json(json.dumps(data))
-        assert t.boundaries == ("pulse", "flip", "pulse")
-        assert t.final == "pulse"  # legacy flag can only request a pulse
+        for s in (build_mirror(1.0, KAPPA), build_se(1.0, KAPPA), build_cpmg(1.0, KAPPA)):
+            assert (*s.boundaries, s.final).count("pulse") == 2
