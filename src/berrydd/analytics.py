@@ -385,21 +385,13 @@ def chi_from_piecewise(coefficients, model: NoiseModel) -> float:
     return chi * model.alpha / (g * g)
 
 
-def linear_response_chi(
-    schedule: Schedule, kappa: float, noise: NoiseModel, total_time: Optional[float] = None
-) -> float:
+def linear_response_chi(schedule: Schedule, kappa: float, noise: NoiseModel) -> float:
     """Exact Gaussian dephasing exponent of a schedule's noise weights.
 
     Reproduces every low-frequency closed form in its beta -> 0 limit and
-    the full echo expression at any beta.  ``total_time`` rescales the
-    segment durations when the schedule time differs from the target T.
+    the full echo expression at any beta.
     """
-    coeffs = linear_coefficients(schedule, kappa)
-    if total_time is not None:
-        t_sched = sum(d for _, d in coeffs)
-        scale = total_time / t_sched
-        coeffs = [(c, d * scale) for c, d in coeffs]
-    return chi_from_piecewise(coeffs, noise)
+    return chi_from_piecewise(linear_coefficients(schedule, kappa), noise)
 
 
 # -- beyond linear response: quasi-static noise ---------------------------------

@@ -138,7 +138,7 @@ def _write_view_csv(results, path, column: str, schemes) -> None:
             row = [x]
             for s in schemes:
                 row += [by_scheme[s][i].gamma_mean, by_scheme[s][i].gamma_stderr]
-            row.append(float(ensemble.wrap_angle(-4.0 * math.pi * math.cos(x))))
+            row.append(float(ensemble.wrap_angle(by_scheme["fid"][i].prediction.gamma_expected)))
             bal = next((by_scheme[s][i] for s in schemes
                         if analytics.SCHEMES[s].uses_theta_c), None)
             row.append(
@@ -277,8 +277,8 @@ def _check_config_warnings(cfg: ExperimentConfig) -> list:
 
 def _cmd_theta_sweep(args) -> int:
     grid = np.linspace(math.pi / 12, 11 * math.pi / 12, args.theta_points)
-    if args.theta_grid:
-        grid = np.array([float(x) for x in args.theta_grid.split(",")])
+    if args.theta_grid is not None:
+        grid = args.theta_grid
     base = ExperimentConfig(
         scheme=ensemble.THETA_SWEEP_SCHEMES[0], theta_a=float(grid[0]), beta=args.beta,
         eta=args.eta, kappa=args.kappa, realizations=args.realizations,
@@ -301,8 +301,8 @@ def _cmd_theta_sweep(args) -> int:
 
 def _cmd_beta_sweep(args) -> int:
     grid = np.geomspace(args.beta_min, args.beta_max, args.beta_points)
-    if args.beta_grid:
-        grid = np.array([float(x) for x in args.beta_grid.split(",")])
+    if args.beta_grid is not None:
+        grid = args.beta_grid
     base = ExperimentConfig(
         scheme=ensemble.THETA_SWEEP_SCHEMES[0], theta_a=args.theta, beta=float(grid[0]),
         eta=400.0 * float(grid[0]), kappa=args.kappa,
@@ -420,6 +420,17 @@ def main(argv=None) -> int:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
         return n
 
+    def positive(text):
+        """argparse type of a geometric grid's end: a finite number > 0."""
+        x = float(text)
+        if not 0 < x < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {x}")
+        return x
+
+    def grid(text):
+        """argparse type of a comma-separated grid of numbers."""
+        return np.array([float(x) for x in text.split(",")])
+
     def add_common(p):
         p.add_argument("--kappa", type=float, default=12.0)
         p.add_argument("--realizations", type=int, default=400)
@@ -438,27 +449,27 @@ def main(argv=None) -> int:
     p.add_argument("--beta", type=float, default=0.001)
     p.add_argument("--eta", type=float, default=0.4)
     p.add_argument("--theta-points", type=count, default=13)
-    p.add_argument("--theta-grid", type=str, default="",
+    p.add_argument("--theta-grid", type=grid,
                    help="comma-separated angles overriding the default grid")
     add_common(p)
     p.set_defaults(func=_cmd_theta_sweep)
 
     p = sub.add_parser("beta-sweep", help="phase/coherence across the noise bandwidth")
     p.add_argument("--theta", type=float, default=5 * math.pi / 12)
-    p.add_argument("--beta-min", type=float, default=0.005)
-    p.add_argument("--beta-max", type=float, default=5.0)
+    p.add_argument("--beta-min", type=positive, default=0.005)
+    p.add_argument("--beta-max", type=positive, default=5.0)
     p.add_argument("--beta-points", type=count, default=9)
-    p.add_argument("--beta-grid", type=str, default="")
+    p.add_argument("--beta-grid", type=grid)
     p.add_argument("--eta-per-beta", type=float, default=400.0)
     add_common(p)
     p.set_defaults(func=_cmd_beta_sweep)
 
     p = sub.add_parser("filters", help="filter-function and dephasing tables")
     p.add_argument("--z-max", type=float, default=8 * math.pi)
-    p.add_argument("--z-points", type=int, default=400)
-    p.add_argument("--chi-beta-min", type=float, default=1e-3)
-    p.add_argument("--chi-beta-max", type=float, default=10.0)
-    p.add_argument("--chi-beta-points", type=int, default=40)
+    p.add_argument("--z-points", type=count, default=400)
+    p.add_argument("--chi-beta-min", type=positive, default=1e-3)
+    p.add_argument("--chi-beta-max", type=positive, default=10.0)
+    p.add_argument("--chi-beta-points", type=count, default=40)
     p.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
     p.set_defaults(func=_cmd_filters)
 

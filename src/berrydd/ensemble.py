@@ -14,13 +14,13 @@ batches or CPUs.  A batch draws each row's normals from that
 row's own substream (``noise.substream_normals``: one vectorised Philox
 key pass per point of the batch) straight into one path array, filters
 each point's rows there with one OU recursion and evolves all rows with
-one ``evolve_batch`` call.  ``run_ensembles`` stacks the points of a
-sweep that share a scheme into the same batches, with per-row cone
-angles, so all theta points of a scheme step in one call.  Per-row
-results do not depend on the batch a row sits in, so every point's
-results are bit-identical for any worker count and any stacking.  The
-density-matrix reduction sums each point's ``_BLOCK``-row slices in
-block order.
+one ``evolve_batch`` call, then reads each row's coherence out where it
+ran, so a batch (or a pool child) hands back coherences, not states.
+``run_ensembles`` stacks the points of a sweep that share a scheme into
+the same batches, with per-row cone angles, so all theta points of a
+scheme step in one call.  Per-row results do not depend on the batch a
+row sits in, so every point's results are bit-identical for any worker
+count and any stacking.
 
 An adaptive point runs alone, in-process, through the same batches, which
 grow: a first batch of ``_ADAPTIVE_FIRST_ROWS`` rows, then as many whole
@@ -48,7 +48,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -69,8 +68,8 @@ __all__ = [
 
 SCHEME_IDS = tuple(analytics.SCHEMES)
 
-# realizations per rho-reduction block and per adaptive stop candidate;
-# fixed so the arithmetic never depends on the batch size or the worker count
+# realizations per adaptive stop candidate and the fewest rows of a compute
+# batch; fixed so the stop never depends on the batch size or the worker count
 _BLOCK = 64
 # an adaptive point's first batch, and the margin on the rows it predicts it
 # still needs after each batch
@@ -153,10 +152,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Averaged density matrix, estimators and attached theory values."""
+    """Per-realization coherences, their estimators and attached theory values."""
 
     config: ExperimentConfig
-    mean_rho: np.ndarray
     gamma_mean: float
     w: float
     gamma_stderr: float
@@ -169,11 +167,7 @@ class EnsembleResult:
     gamma_sample_std: float
     w_sample_std: float
     realizations_used: int
-    coherences: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def chi_measured(self) -> float:
-        return -math.log(self.w) if self.w > 0 else math.inf
+    coherences: np.ndarray = field(repr=False)
 
 
 def build_schedule(config: ExperimentConfig) -> sched.Schedule:
@@ -218,12 +212,13 @@ def _cpus():
 
 
 def _run_batch(points, grid, batch):
-    """Evolve one compute batch; returns the final states of its rows in piece order.
+    """Evolve one compute batch; returns (reference coherence or None, coherences) per piece.
 
     ``points`` holds (config, schedule, OU model) per point.  A piece
     with lo == 0 puts the point's zero-noise reference row before its
-    realizations.  Each piece's normals are drawn straight into the
-    batch's one path array and filtered there with the point's own model.
+    realizations and reads it out alone, with the single-state readout.
+    Each piece's normals are drawn straight into the batch's one path
+    array and filtered there with the point's own model.
     """
     sizes = [hi - lo + (lo == 0) for _, lo, hi in batch]
     values = np.zeros((sum(sizes), grid.total_steps))
@@ -237,8 +232,15 @@ def _run_batch(points, grid, batch):
                                 range(lo, hi), grid.total_steps, out=paths)
         noise.ou_filter(model, paths, grid.dt, out=paths)
         schedules += [schedule] * size
-    return propagator.evolve_batch(schedules, values, grid,
-                                   noise_axis=points[0][0].noise_axis)
+    states = propagator.evolve_batch(schedules, values, grid,
+                                     noise_axis=points[0][0].noise_axis)
+    out, end = [], 0
+    for (p, lo, hi), size in zip(batch, sizes):
+        schedule = points[p][1]
+        end += size
+        ref = propagator.schedule_coherence(schedule, states[end - size]) if lo == 0 else None
+        out.append((ref, propagator.schedule_coherence(schedule, states[end - (hi - lo):end])))
+    return out
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
@@ -291,25 +293,18 @@ def _run_stack(configs):
     pool_size = min(first.workers, len(batches), _cpus())
     parallel = pool_size > 1
     refs = [None] * len(points)
-    parts = [[] for _ in points]  # per point: final states of its realizations
     zs = [[] for _ in points]
     with (ProcessPoolExecutor(max_workers=pool_size) if parallel
           else nullcontext()) as pool:
         outputs = (pool.map if parallel else map)(
             partial(_run_batch, points, grid), batches
         )
-        for batch, states in zip(batches, outputs):  # batch order
-            row = 0
-            for p, lo, hi in batch:
+        for batch, pieces in zip(batches, outputs):  # batch order
+            for (p, lo, _), (ref, z) in zip(batch, pieces):
                 if lo == 0:
-                    refs[p] = states[row]
-                    row += 1
-                piece = states[row:row + hi - lo]
-                row += hi - lo
-                parts[p].append(piece)
-                zs[p].append(propagator.schedule_coherence(points[p][1], piece))
-    return [_result(*point, refs[p], np.concatenate(parts[p]), np.concatenate(zs[p]))
-            for p, point in enumerate(points)]
+                    refs[p] = ref
+                zs[p].append(z)
+    return [_result(*point, refs[p], np.concatenate(zs[p])) for p, point in enumerate(points)]
 
 
 def _run_adaptive(point, grid, rows):
@@ -319,17 +314,16 @@ def _run_adaptive(point, grid, rows):
     the next batch holds the whole blocks the delta-method SE predicts are
     still missing, plus ``_ADAPTIVE_MARGIN``, at most ``rows``.
     """
-    config, schedule, _ = point
+    config = point[0]
     cap, target = config.realizations, config.adaptive_target
-    parts, zs, boot = [], [], {}
+    zs, boot = [], {}
     drawn, used, size = 0, None, _ADAPTIVE_FIRST_ROWS
     while used is None and drawn < cap:
         hi = min(cap, drawn + size)
-        states = _run_batch([point], grid, [(0, drawn, hi)])
+        [(piece_ref, piece)] = _run_batch([point], grid, [(0, drawn, hi)])
         if drawn == 0:
-            ref, states = states[0], states[1:]
-        parts.append(states)
-        zs.append(propagator.schedule_coherence(schedule, states))
+            ref = piece_ref
+        zs.append(piece)
         z = np.concatenate(zs)
         se = _prefix_w_stderr(z)
         for n in range(max(2 * _BLOCK, (drawn // _BLOCK + 1) * _BLOCK), hi + 1, _BLOCK):
@@ -345,7 +339,7 @@ def _run_adaptive(point, grid, rows):
         want = math.ceil(drawn * (se[-1] / target) ** 2 * _ADAPTIVE_MARGIN)
         size = min(rows, max(_BLOCK, -(-(want - drawn) // _BLOCK) * _BLOCK))
     used = used or drawn
-    return _result(*point, ref, np.concatenate(parts)[:used], z[:used], boot.get(used))
+    return _result(*point, ref, z[:used], boot.get(used))
 
 
 def _prefix_w_stderr(z):
@@ -373,26 +367,19 @@ def _prefix_w_stderr(z):
     return 2.0 * np.sqrt(np.maximum(var, 0.0) / n)
 
 
-def _result(config, schedule, model, ref, states, z, errors=None):
-    """One point's estimators and theory from its final states and coherences.
+def _result(config, schedule, model, z_ref, z, errors=None):
+    """One point's estimators and theory from its reference and realization coherences.
 
     ``errors`` is the (gamma, W) bootstrap of ``z`` when the caller already
     ran it.
     """
     # zero-noise reference on the same grid: scheme-constant phase offset
-    z_ref = propagator.schedule_coherence(schedule, ref)
     gamma_ref = float(np.angle(z_ref))
     w_ref = 2.0 * abs(z_ref)
 
-    used = len(z)
-    rho_sum = np.zeros((2, 2), dtype=complex)
-    for lo in range(0, used, _BLOCK):
-        blk = states[lo:lo + _BLOCK]
-        rho_sum = rho_sum + np.einsum("ri,rj->ij", blk, blk.conj())
     z_mean = z.mean()
     gamma_mean = float(np.angle(z_mean))
     w = 2.0 * abs(z_mean)
-    mean_rho = rho_sum / used
 
     gamma_stderr, w_stderr = errors or bootstrap_errors(
         z, config.bootstrap_resamples,
@@ -419,7 +406,6 @@ def _result(config, schedule, model, ref, states, z, errors=None):
 
     return EnsembleResult(
         config=config,
-        mean_rho=mean_rho,
         gamma_mean=gamma_mean,
         w=w,
         gamma_stderr=gamma_stderr,
@@ -431,13 +417,12 @@ def _result(config, schedule, model, ref, states, z, errors=None):
         gamma_corrected=gamma_corrected,
         gamma_sample_std=gamma_sample_std,
         w_sample_std=w_sample_std,
-        realizations_used=used,
+        realizations_used=len(z),
         coherences=z,
     )
 
 
-def bootstrap_errors(per_realization_coherences, resamples: int = 1000,
-                     rng: Optional[np.random.Generator] = None):
+def bootstrap_errors(per_realization_coherences, resamples: int, rng: np.random.Generator):
     """Nonparametric bootstrap standard errors of (gamma, W).
 
     Resamples realization-level coherences with replacement; phase
@@ -448,8 +433,6 @@ def bootstrap_errors(per_realization_coherences, resamples: int = 1000,
     n = len(z)
     if n < 2:
         raise ValueError("bootstrap needs at least 2 realizations")
-    if rng is None:
-        rng = np.random.default_rng(0)
     z_mean = z.mean()
     gamma_hat = np.angle(z_mean)
     # resample rows in chunks: the index stream is the same, the memory is not

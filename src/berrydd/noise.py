@@ -71,9 +71,6 @@ class NoiseRealization:
     dt: float
     values: np.ndarray
 
-    def __len__(self):
-        return len(self.values)
-
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for the given (master seed, key...) stream.

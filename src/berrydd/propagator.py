@@ -155,7 +155,6 @@ def evolve_batch(
     schedule: Schedule,
     noise_values: np.ndarray,
     grid: StepGrid,
-    initial: np.ndarray = None,
     noise_axis: str = "longitudinal",
 ) -> np.ndarray:
     """Evolve a batch of realizations through the schedule.
@@ -186,10 +185,8 @@ def evolve_batch(
     longitudinal = noise_axis == "longitudinal"
     if not longitudinal and noise_axis != "transverse":
         raise ValueError(f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
-    if initial is None:
-        initial = spread([initial_superposition(_direction(s.segments[0].theta, s.phi0))
-                          for s in distinct])
-    psi0 = np.broadcast_to(np.asarray(initial, dtype=complex), (nreal, 2))
+    psi0 = np.broadcast_to(spread([initial_superposition(_direction(s.segments[0].theta, s.phi0))
+                                   for s in distinct]), (nreal, 2))
     p0, p1 = psi0[:, 0], psi0[:, 1]
 
     dt = grid.dt
@@ -266,16 +263,13 @@ def segment_unitary_exact(theta, omega_rf, duration, phi0, offset=0.0):
     return u1.conj().T @ rot @ u0
 
 
-def evolve_exact(schedule: Schedule, initial=None, offset: float = 0.0) -> np.ndarray:
-    """Evolution by exact segment propagators (no time stepping).
+def evolve_exact(schedule: Schedule, offset: float = 0.0) -> np.ndarray:
+    """Evolution of the initial superposition by exact segment propagators (no stepping).
 
     ``offset`` is a constant longitudinal noise value K held over the whole
     schedule (quasi-static noise); the default 0 is the noiseless run.
     """
-    first = schedule.segments[0]
-    if initial is None:
-        initial = initial_superposition(_direction(first.theta, schedule.phi0))
-    psi = np.asarray(initial, dtype=complex).copy()
+    psi = initial_superposition(_direction(schedule.segments[0].theta, schedule.phi0))
     phis = schedule.segment_phi_starts()
     durations = schedule.durations()
     for k, seg in enumerate(schedule.segments):

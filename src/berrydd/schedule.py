@@ -208,23 +208,20 @@ def build_cpmg(theta: float, kappa: float) -> Schedule:
     )
 
 
-def build_balanced(
-    theta_a: float, kappa: float, base: str = "cpmg", theta_c: Optional[float] = None
-) -> Schedule:
+def build_balanced(theta_a: float, kappa: float, base: str = "cpmg") -> Schedule:
     """Echo with the clockwise segment slanted at the balancing companion angle.
 
     The companion angle theta_c makes the noise-coupling weight of the
     reversed segment equal in magnitude to that of the forward segments, so
     the piecewise weight becomes a pure echo pattern and the residual
-    geometric dephasing cancels.  theta_c defaults to the exact balance
-    root from :func:`solve_theta_c_exact`.  ``base`` names the echo whose
+    geometric dephasing cancels.  theta_c is the exact balance root from
+    :func:`solve_theta_c_exact`.  ``base`` names the echo whose
     reversed segment moves to the companion cone: "se" or "cpmg".
     """
     echoes = {"se": build_se, "cpmg": build_cpmg}
     if base not in echoes:
         raise ValueError(f"base must be 'se' or 'cpmg', got {base!r}")
-    if theta_c is None:
-        theta_c = solve_theta_c_exact(theta_a, kappa)
+    theta_c = solve_theta_c_exact(theta_a, kappa)
     echo = echoes[base](theta_a, kappa)
     segments = tuple(replace(seg, theta=theta_c) if seg.l < 0 else seg for seg in echo.segments)
     return replace(echo, segments=segments)

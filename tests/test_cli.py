@@ -149,9 +149,24 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command, flag", [
         ("theta-sweep", "--theta-points"), ("beta-sweep", "--beta-points"),
+        ("beta-sweep", "--beta-min"), ("beta-sweep", "--beta-max"),
+        ("filters", "--z-points"), ("filters", "--chi-beta-points"),
+        ("filters", "--chi-beta-min"), ("filters", "--chi-beta-max"),
     ])
     def test_empty_grid_is_rejected_by_flag(self, tmp_path, capsys, command, flag):
-        assert flag in self.error_text([command, flag, 0, "--out-dir", tmp_path], capsys)
+        # a count of 0 or a geometric grid's end at 0
+        out = tmp_path / "o"
+        assert flag in self.error_text([command, flag, 0, "--out-dir", out], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("theta-sweep", "--theta-grid", ","), ("beta-sweep", "--beta-grid", ","),
+        ("beta-sweep", "--beta-max", "inf"), ("filters", "--chi-beta-max", "nan"),
+    ])
+    def test_bad_grid_value_is_rejected_by_flag(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        assert flag in self.error_text([command, flag, value, "--out-dir", out], capsys)
+        assert not out.exists()
 
     def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -295,6 +310,16 @@ class TestThetaSweep:
         _, w_rows = grab_rows(out / "theta_sweep_coherence.csv")
         assert len(phase_rows) == 2 and len(w_rows) == 2
         assert (out / "theta_sweep_manifest.json").exists()
+
+    def test_loop_phase_view_is_fid_theory(self, tmp_path):
+        # the phase view's loop column is the fid rows' gamma_theory, string for string
+        out = tmp_path / "o"
+        assert run_cli(["theta-sweep", "--realizations", 2, "--out-dir", out]) == 0
+        _, rows = grab_rows(out / "theta_sweep_results.csv")
+        _, phase_rows = grab_rows(out / "theta_sweep_phase.csv")
+        fid = [(r["theta_a"], r["gamma_theory"]) for r in rows if r["scheme"] == "fid"]
+        assert len(fid) == 13
+        assert [(r["theta_a"], r["gamma_theory_loop"]) for r in phase_rows] == fid
 
     def test_seeded_rerun_bit_identical(self, tmp_path):
         outs = []

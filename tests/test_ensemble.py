@@ -125,15 +125,6 @@ class TestEstimators:
         dev = wrap_angle(res.gamma_corrected - wrap_angle(res.prediction.gamma_expected))
         assert abs(dev) < 3 * res.gamma_stderr
 
-    def test_mean_rho_is_physical(self):
-        res = run_ensemble(make_config(realizations=100))
-        rho = res.mean_rho
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-        evals = np.linalg.eigvalsh(rho)
-        assert evals.min() > -1e-10
-        assert evals.max() < 1 + 1e-10
-
     def test_w_within_physical_bounds(self):
         res = run_ensemble(make_config(realizations=100))
         assert 0.0 <= res.w <= 1.0 + 3 * res.w_stderr
@@ -171,7 +162,6 @@ def _block_route(config):
     model = config.params().noise_model()
     n, steps = config.realizations, grid.total_steps
     zs = []
-    rho_sum = np.zeros((2, 2), dtype=complex)
     for lo in range(0, n, 64):
         # noise substreams live under namespace 0 of the point's key
         values = np.stack([
@@ -183,7 +173,6 @@ def _block_route(config):
         ])
         states = prop.evolve_batch(schedule, values, grid)
         zs.append(prop.schedule_coherence(schedule, states))
-        rho_sum = rho_sum + np.einsum("ri,rj->ij", states, states.conj())
     ref = prop.evolve_batch(schedule, np.zeros((1, steps)), grid)[0]
     z = np.concatenate(zs)
     # the bootstrap stream is namespace 1
@@ -192,7 +181,7 @@ def _block_route(config):
         substream(config.master_seed, config.stream_key, 1),
     )
     return dict(
-        coherences=z, mean_rho=rho_sum / n,
+        coherences=z,
         gamma_ref=float(np.angle(prop.schedule_coherence(schedule, ref))),
         gamma_stderr=g_err, w_stderr=w_err,
     )
@@ -222,7 +211,6 @@ class TestDeterminism:
         expect = _block_route(make_config(realizations=200))
         for res in runs:
             np.testing.assert_array_equal(res.coherences, expect["coherences"])
-            np.testing.assert_array_equal(res.mean_rho, expect["mean_rho"])
             assert res.gamma_ref == expect["gamma_ref"]
             assert res.gamma_stderr == expect["gamma_stderr"]
             assert res.w_stderr == expect["w_stderr"]
@@ -234,7 +222,6 @@ class TestDeterminism:
         expect = _block_route(make_config(realizations=realizations))
         assert res.realizations_used == realizations
         np.testing.assert_array_equal(res.coherences, expect["coherences"])
-        np.testing.assert_array_equal(res.mean_rho, expect["mean_rho"])
         assert res.w_stderr == expect["w_stderr"]
 
     @pytest.mark.parametrize("realizations, workers, cpus, pool", [
@@ -452,7 +439,6 @@ class TestSweeps:
 
 def _assert_same_point(res, alone):
     np.testing.assert_array_equal(res.coherences, alone.coherences)
-    np.testing.assert_array_equal(res.mean_rho, alone.mean_rho)
     assert res.gamma_ref == alone.gamma_ref
     assert res.gamma_stderr == alone.gamma_stderr
     assert res.w_stderr == alone.w_stderr
