@@ -30,6 +30,9 @@ spectral overlap integral
 
 by adaptive quadrature, and ``chi_closed`` evaluates it exactly as the
 kernel oracle over the pattern's +-1 weights.
+
+SciPy is imported only inside ``chi_spectral`` and the bracketed fallback
+of ``solve_theta_c_transverse``, which no run path calls.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .noise import NoiseModel
 from .propagator import evolve_exact, schedule_coherence
@@ -136,12 +137,13 @@ class DrivenParams:
     theta_c: Optional[float] = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        # "not x > 0" also holds for a NaN
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
     @property
     def total_time(self) -> float:
@@ -535,7 +537,12 @@ def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
     adaptive quadrature with breakpoints at the Lorentzian knee and the
     filter oscillations; the tail splits into an elementary monotone part
     and Fourier-weighted integrals handled by the oscillatory rule.
+
+    It needs SciPy, imported here so that no run path loads it; it is the
+    quadrature oracle of :func:`chi_closed`.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     sw = switching_function(sequence)
     beta = noise.gamma * total_time
     eta = noise.alpha * noise.gamma * total_time**3
@@ -627,7 +634,8 @@ def solve_theta_c_transverse(theta_a: float, kappa: float) -> float:
 
     Returns the perturbative branch continuous with theta_c = theta_a at
     kappa -> inf (the equation also has the geometric-phase-destroying
-    mirror root pi - theta_a, which is rejected).
+    mirror root pi - theta_a, which is rejected).  Newton's method finds it
+    in most cases; the bracketed fallback needs SciPy, imported only there.
     """
     if not 0.0 < theta_a < math.pi:
         raise ValueError(f"theta_a must lie in (0, pi), got {theta_a}")
@@ -650,6 +658,8 @@ def solve_theta_c_transverse(theta_a: float, kappa: float) -> float:
             break
     if abs(balance(t)) > 1e-12:
         # fall back to a bracketed solve around the estimate
+        from scipy.optimize import brentq
+
         lo = max(1e-9, theta_a - 4.0 * math.sin(theta_a) / kappa - 0.2)
         hi = theta_a + 0.05
         try:

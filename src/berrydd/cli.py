@@ -60,6 +60,9 @@ _HEADER_NOTES = [
     "# gamma_stderr/W_stderr: bootstrap errors of the mean; *_sample_std: per-realization spread",
 ]
 
+# the first z of the filter table: F(z)/z^2 is 0/0 at z = 0
+_Z_MIN = 1e-6
+
 # heads the CSV of an adaptive run
 _ADAPTIVE_NOTES = [
     f"# adaptive stop: realizations is the first multiple n >= {2 * ensemble._BLOCK} of "
@@ -327,7 +330,7 @@ def _cmd_beta_sweep(args) -> int:
 def _cmd_filters(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    zs = np.linspace(1e-6, args.z_max, args.z_points)
+    zs = np.linspace(_Z_MIN, args.z_max, args.z_points)
     names = tuple(analytics.PATTERNS)
     lines = [
         "# filter-function tables: F(z)/z^2 per switching pattern, z = omega*T",
@@ -427,9 +430,20 @@ def main(argv=None) -> int:
             raise argparse.ArgumentTypeError(f"must be finite and > 0, got {x}")
         return x
 
-    def grid(text):
+    def z_end(text):
+        """argparse type of the filter table's last z: finite and past its first."""
+        x = float(text)
+        if not _Z_MIN < x < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > {_Z_MIN:g}, got {x}")
+        return x
+
+    def grid(text, item=float):
         """argparse type of a comma-separated grid of numbers."""
-        return np.array([float(x) for x in text.split(",")])
+        return np.array([item(x) for x in text.split(",")])
+
+    def positive_grid(text):
+        """argparse type of a comma-separated grid of finite numbers > 0."""
+        return grid(text, positive)
 
     def add_common(p):
         p.add_argument("--kappa", type=float, default=12.0)
@@ -459,13 +473,13 @@ def main(argv=None) -> int:
     p.add_argument("--beta-min", type=positive, default=0.005)
     p.add_argument("--beta-max", type=positive, default=5.0)
     p.add_argument("--beta-points", type=count, default=9)
-    p.add_argument("--beta-grid", type=grid)
+    p.add_argument("--beta-grid", type=positive_grid)
     p.add_argument("--eta-per-beta", type=float, default=400.0)
     add_common(p)
     p.set_defaults(func=_cmd_beta_sweep)
 
     p = sub.add_parser("filters", help="filter-function and dephasing tables")
-    p.add_argument("--z-max", type=float, default=8 * math.pi)
+    p.add_argument("--z-max", type=z_end, default=8 * math.pi)
     p.add_argument("--z-points", type=count, default=400)
     p.add_argument("--chi-beta-min", type=positive, default=1e-3)
     p.add_argument("--chi-beta-max", type=positive, default=10.0)

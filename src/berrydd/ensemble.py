@@ -10,12 +10,15 @@ z_r = <-1|psi_r><psi_r|+1>.  The ensemble estimators follow
 Realizations run in compute batches of about ``_BATCH_ELEMS`` noise
 samples, fewer when ``workers`` share the rows; a process pool, if any,
 gets one task per batch and has at most as many processes as there are
-batches or CPUs.  A batch draws each row's normals from that
-row's own substream (``noise.substream_normals``: one vectorised Philox
-key pass per point of the batch) straight into one path array, filters
-each point's rows there with one OU recursion and evolves all rows with
-one ``evolve_batch`` call, then reads each row's coherence out where it
-ran, so a batch (or a pool child) hands back coherences, not states.
+batches or CPUs.  A batch holds its noise paths step-major, so that each
+step's values over all rows are contiguous for ``evolve_batch``.  It draws
+each row's normals from that row's own substream
+(``noise.substream_normals``: one vectorised Philox key pass per chunk of
+at most ``_DRAW_ROWS`` rows) into a small row-major buffer, filters each
+chunk with its point's OU recursion straight into the batch's paths and
+evolves all rows with one ``evolve_batch`` call, then reads each row's
+coherence out where it ran, so a batch (or a pool child) hands back
+coherences, not states.
 ``run_ensembles`` stacks the points of a sweep that share a scheme into
 the same batches, with per-row cone angles, so all theta points of a
 scheme step in one call.  Per-row results do not depend on the batch a
@@ -77,6 +80,8 @@ _ADAPTIVE_FIRST_ROWS = 4 * _BLOCK
 _ADAPTIVE_MARGIN = 1.1
 # noise samples per compute batch (32 MB of float64 paths)
 _BATCH_ELEMS = 1 << 22
+# rows per draw of normals: the row-major buffer they go to stays small
+_DRAW_ROWS = 1024
 # resample indices drawn per bootstrap chunk
 _BOOTSTRAP_CHUNK_ELEMS = 1 << 20
 # substream namespaces under (master_seed, stream_key, ...)
@@ -141,13 +146,12 @@ class ExperimentConfig:
             raise ValueError(f"kappa = {self.kappa} does not fit the step grid: {exc}") from exc
 
     def params(self) -> analytics.DrivenParams:
-        theta_c = None
+        # checked before theta_c is solved for, so a bad kappa is named as such
+        params = analytics.DrivenParams(
+            kappa=self.kappa, theta=self.theta_a, beta=self.beta, eta=self.eta)
         if analytics.SCHEMES[self.scheme].uses_theta_c:
-            theta_c = sched.solve_theta_c_exact(self.theta_a, self.kappa)
-        return analytics.DrivenParams(
-            kappa=self.kappa, theta=self.theta_a, beta=self.beta, eta=self.eta,
-            theta_c=theta_c,
-        )
+            params = replace(params, theta_c=sched.solve_theta_c_exact(self.theta_a, self.kappa))
+        return params
 
 
 @dataclass(frozen=True)
@@ -217,20 +221,27 @@ def _run_batch(points, grid, batch):
     ``points`` holds (config, schedule, OU model) per point.  A piece
     with lo == 0 puts the point's zero-noise reference row before its
     realizations and reads it out alone, with the single-state readout.
-    Each piece's normals are drawn straight into the batch's one path
-    array and filtered there with the point's own model.
+    The batch's (rows, steps) path array is step-major.  Each piece's
+    normals are drawn in chunks of at most ``_DRAW_ROWS`` rows into one
+    row-major buffer, which ``Generator.standard_normal`` fills row by
+    row, and each chunk is filtered from there into its rows of the path
+    array with the point's own model.
     """
+    n_steps = grid.total_steps
     sizes = [hi - lo + (lo == 0) for _, lo, hi in batch]
-    values = np.zeros((sum(sizes), grid.total_steps))
+    values = np.zeros((n_steps, sum(sizes))).T
+    buffer = np.empty((min(_DRAW_ROWS, max(hi - lo for _, lo, hi in batch)), n_steps))
     schedules = []
     end = 0
     for (p, lo, hi), size in zip(batch, sizes):
         config, schedule, model = points[p]
         end += size
-        paths = values[end - (hi - lo):end]
-        noise.substream_normals(config.master_seed, (config.stream_key, _NS_NOISE),
-                                range(lo, hi), grid.total_steps, out=paths)
-        noise.ou_filter(model, paths, grid.dt, out=paths)
+        first = end - hi  # the path row of realization 0
+        for a in range(lo, hi, _DRAW_ROWS):
+            b = min(hi, a + _DRAW_ROWS)
+            z = noise.substream_normals(config.master_seed, (config.stream_key, _NS_NOISE),
+                                        range(a, b), n_steps, out=buffer[:b - a])
+            noise.ou_filter(model, z, grid.dt, out=values[first + a:first + b])
         schedules += [schedule] * size
     states = propagator.evolve_batch(schedules, values, grid,
                                      noise_axis=points[0][0].noise_axis)

@@ -24,15 +24,30 @@ exactly those streams.  A substream is a Philox generator whose key is
 instead of building a SeedSequence, Philox and Generator per row, it runs
 that hash for all rows in one vectorised pass (``_philox_keys``) and
 re-keys one Philox per row by setting its whole state.
+
+``ou_filter`` runs the update as the linear recursion
+
+    y[i] = amp * z[i] + decay * y[i-1],   decay = exp(-gamma dt),
+    amp = sqrt(alpha (1 - decay^2)),
+
+in ``lfilter``: one pair of numpy calls per step over all rows, each
+rounding the two products and their sum as SciPy's ``signal.lfilter``
+does, so the paths are bit-equal to SciPy's.  Written into a step-major
+array (a step's values over all rows contiguous), each step is one
+contiguous vector.  The recursion keeps the module-level name
+``lfilter``, which outside tracers patch, and ``ou_filter`` calls it
+through that name.  ``sample_realization`` runs its single row through
+``itertools.accumulate`` instead, which is much faster than a numpy loop
+over one row.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "NoiseModel",
@@ -41,6 +56,7 @@ __all__ = [
     "substream_normals",
     "correlation",
     "spectrum",
+    "lfilter",
     "ou_filter",
     "sample_realization",
 ]
@@ -206,6 +222,32 @@ def spectrum(model: NoiseModel, omega) -> float:
     return out if out.ndim else float(out)
 
 
+def _ou_coefficients(model: NoiseModel, dt: float):
+    """(sqrt(alpha), decay, amp): the stationary scale and the update's coefficients."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    decay = np.exp(-model.gamma * dt)
+    return np.sqrt(model.alpha), decay, np.sqrt(model.alpha * (1.0 - decay * decay))
+
+
+def lfilter(amp, decay, z: np.ndarray, y0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run y[:, i] = amp*z[:, i] + decay*y[:, i-1] along each row, y[:, -1] = y0.
+
+    Bit-equal to SciPy's ``signal.lfilter([amp], [1, -decay], z, axis=1,
+    zi=decay * y0[:, None])[0]``.  The paths go to ``out``, which may be
+    ``z`` but must not overlap ``y0``; the loop over steps is fastest when
+    ``out`` is step-major.
+    """
+    np.multiply(z, amp, out=out)
+    prev, carry = y0, np.empty(len(out))
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        np.multiply(prev, decay, out=carry)
+        np.add(col, carry, out=col)
+        prev = col
+    return out
+
+
 def ou_filter(model: NoiseModel, z: np.ndarray, dt: float,
               out: np.ndarray = None) -> np.ndarray:
     """Turn standard normals into stationary OU paths, one path per row.
@@ -213,20 +255,14 @@ def ou_filter(model: NoiseModel, z: np.ndarray, dt: float,
     ``z`` has shape (rows, n_steps); row i of the result depends only on
     row i of ``z``, so a batch gives the same paths as filtering each row
     alone.  Column 0 is the stationary draw sqrt(alpha)*z[:, 0]; the rest
-    follow the exact update, run as one linear recursion per row.  The
-    paths go to ``out`` if given, which may be ``z`` itself.
+    follow the exact update, run by :func:`lfilter`.  The paths go to
+    ``out`` if given, which may be ``z`` itself or a step-major array.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    scale, decay, amp = _ou_coefficients(model, dt)
     values = np.empty_like(z) if out is None else out
-    values[:, 0] = np.sqrt(model.alpha) * z[:, 0]
+    values[:, 0] = scale * z[:, 0]
     if z.shape[1] > 1:
-        decay = np.exp(-model.gamma * dt)
-        amp = np.sqrt(model.alpha * (1.0 - decay * decay))
-        # y[i] = amp*z[i] + decay*y[i-1], seeded so y[-1] == values[:, 0]
-        values[:, 1:], _ = lfilter(
-            [amp], [1.0, -decay], z[:, 1:], axis=1, zi=decay * values[:, :1]
-        )
+        lfilter(amp, decay, z[:, 1:], values[:, 0], values[:, 1:])
     return values
 
 
@@ -235,11 +271,15 @@ def sample_realization(
 ) -> NoiseRealization:
     """Sample a stationary trajectory of ``n_steps`` values on a dt grid.
 
-    It is the one-row case of ``ou_filter``.
+    It is the one-row case of ``ou_filter``, bit for bit; the recursion
+    runs in ``itertools.accumulate`` on Python floats, which round as
+    numpy does.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    z = rng.standard_normal((1, n_steps))
-    return NoiseRealization(dt=dt, values=ou_filter(model, z, dt)[0])
+    scale, decay, amp = _ou_coefficients(model, dt)
+    z = rng.standard_normal(n_steps)
+    decay = float(decay)
+    path = accumulate((amp * z[1:]).tolist(), lambda prev, v: v + decay * prev,
+                      initial=float(scale * z[0]))
+    return NoiseRealization(dt=dt, values=np.fromiter(path, float, n_steps))

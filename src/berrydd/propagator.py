@@ -160,10 +160,12 @@ def evolve_batch(
     """Evolve a batch of realizations through the schedule.
 
     noise_values has shape (R, total_steps): one piecewise-constant noise
-    path per realization.  Returns the (R, 2) final states.  Each state is
-    advanced per step with the exact constant-field exponential; a pulse
-    that ends a segment (or the schedule) acts after that segment's last
-    step, and flips apply no unitary.
+    path per realization.  A step-major array (``np.zeros((total_steps,
+    R)).T``, as the ensemble batches hold) is read without a copy, one
+    contiguous column per step.  Returns the (R, 2) final states.  Each
+    state is advanced per step with the exact constant-field exponential; a
+    pulse that ends a segment (or the schedule) acts after that segment's
+    last step, and flips apply no unitary.
 
     ``schedule`` is one Schedule that drives every row, or a sequence of R
     schedules, one per row, that differ only in their cone angles (same

@@ -8,8 +8,6 @@ installing the probes is checked here.
 import importlib.util
 from pathlib import Path
 
-import scipy.signal
-
 from berrydd import ensemble, noise
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -24,6 +22,7 @@ def _load_spans():
 
 def test_probes_install_trace_and_restore():
     spans = _load_spans()
+    lfilter = noise.lfilter
     rec = spans.install_berrydd_probes()
     try:
         # looked up through the module, where the probes patch it
@@ -33,7 +32,7 @@ def test_probes_install_trace_and_restore():
         metrics = spans.layer_metrics(rec)
     finally:
         rec.restore()
-    assert noise.lfilter is scipy.signal.lfilter
+    assert noise.lfilter is lfilter
     assert metrics["ensemble.run_ensemble.calls"] == 1
     assert metrics["ensemble.realizations_used"] == 8
     assert metrics["propagator.propagate.calls"] == 1
@@ -43,6 +42,7 @@ def test_probes_install_trace_and_restore():
 def test_probes_trace_a_stacked_sweep():
     # a traced theta_sweep iteration: the points of a scheme share one batch
     spans = _load_spans()
+    lfilter = noise.lfilter
     rec = spans.install_berrydd_probes()
     try:
         base = ensemble.ExperimentConfig(scheme="fid", theta_a=1.0, beta=0.001,
@@ -51,7 +51,7 @@ def test_probes_trace_a_stacked_sweep():
         metrics = spans.layer_metrics(rec)
     finally:
         rec.restore()
-    assert noise.lfilter is scipy.signal.lfilter
+    assert noise.lfilter is lfilter
     n_schemes = len(ensemble.THETA_SWEEP_SCHEMES)
     assert len(results) == 2 * n_schemes
     assert metrics["propagator.propagate.calls"] == n_schemes

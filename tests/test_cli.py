@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,10 +165,27 @@ class TestBadInput:
     @pytest.mark.parametrize("command, flag, value", [
         ("theta-sweep", "--theta-grid", ","), ("beta-sweep", "--beta-grid", ","),
         ("beta-sweep", "--beta-max", "inf"), ("filters", "--chi-beta-max", "nan"),
+        ("beta-sweep", "--beta-grid", "inf"), ("beta-sweep", "--beta-grid", "0.01,nan"),
+        # the filter table's z grid starts at 1e-6
+        ("filters", "--z-max", "-1"), ("filters", "--z-max", "0"), ("filters", "--z-max", "inf"),
     ])
     def test_bad_grid_value_is_rejected_by_flag(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"
-        assert flag in self.error_text([command, flag, value, "--out-dir", out], capsys)
+        assert flag in self.error_text([command, f"{flag}={value}", "--out-dir", out], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("single", "--beta", "nan"), ("single", "--eta", "inf"), ("single", "--kappa", "nan"),
+        ("theta-sweep", "--beta", "inf"), ("theta-sweep", "--eta", "nan"),
+    ])
+    def test_non_finite_parameter_is_rejected_by_name(self, tmp_path, capsys, command, flag,
+                                                      value):
+        # "nan <= 0" is false: without its own check a NaN ran and wrote NaN rows
+        out = tmp_path / "o"
+        extra = ["--scheme", "cpmg", "--theta", 1.0, "--beta", 0.001, "--eta", 0.4,
+                 "--realizations", 8] if command == "single" else []
+        err = self.error_text([command, *extra, f"{flag}={value}", "--out-dir", out], capsys)
+        assert f"{flag[2:]} must be finite" in err
         assert not out.exists()
 
     def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
@@ -191,6 +211,29 @@ class TestBadInput:
         assert "'theta-sweep'" in self.error_text(
             ["single", "--manifest", path, "--out-dir", out], capsys)
         assert not out.exists()
+
+
+class TestNoScipy:
+    def test_runs_load_no_scipy(self, tmp_path):
+        # a fresh interpreter, so that no other test's import counts: the
+        # import and the run paths of single and theta-sweep need numpy only
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from berrydd import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['single', '--scheme', 'cpmg_balanced', '--theta', '1.0', "
+            "'--beta', '0.001', '--eta', '0.4', '--realizations', '8', '--out-dir', out]) == 0\n"
+            "assert cli.main(['theta-sweep', '--theta-points', '1', '--realizations', '8', "
+            "'--out-dir', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "theta_sweep_results.csv").exists()
 
 
 class TestVersion:

@@ -77,6 +77,9 @@ class TestConfigValidation:
         ("adaptive_target", 0.0), ("adaptive_target", -0.01),
         ("adaptive_target", math.inf), ("adaptive_target", math.nan),
         ("beta", 0.0), ("beta", -0.001), ("eta", -0.4),
+        # "nan <= 0" is false: a non-finite value must be caught on its own
+        ("beta", math.nan), ("beta", math.inf), ("eta", math.nan), ("eta", math.inf),
+        ("kappa", math.nan), ("kappa", math.inf),
         ("theta_a", 0.0), ("theta_a", math.pi), ("theta_a", 4.0),
         ("dt_divisor", 0),
         # |l| * kappa * divisor = 31.25 for the quarter-loop cpmg segments

@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
+from scipy.signal import lfilter as scipy_lfilter
 
+from berrydd import noise
 from berrydd.noise import (
     NoiseModel,
     correlation,
@@ -259,3 +261,33 @@ def test_in_place_filter_matches_fresh_output():
     expect = ou_filter(model, z, 0.1)
     assert np.array_equal(ou_filter(model, z, 0.1, out=z), expect)
     assert np.array_equal(z, expect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.floats(0.0, 10.0),
+    gamma=st.floats(1e-4, 50.0),
+    dt=st.floats(1e-3, 5.0),
+    n_steps=st.integers(1, 300),
+    rows=st.integers(1, 40),
+    layout=st.sampled_from(["fresh", "c_order", "step_major", "in_place"]),
+)
+def test_filter_is_bit_equal_to_scipy_lfilter(alpha, gamma, dt, n_steps, rows, layout):
+    # the numpy recursion rounds as SciPy's lfilter does, into any output layout
+    model = NoiseModel(alpha=alpha, gamma=gamma)
+    z = np.stack([substream(11, r).standard_normal(n_steps) for r in range(rows)])
+    decay = np.exp(-gamma * dt)
+    amp = np.sqrt(alpha * (1.0 - decay * decay))
+    expect = np.empty_like(z)
+    expect[:, 0] = np.sqrt(alpha) * z[:, 0]
+    if n_steps > 1:
+        expect[:, 1:], _ = scipy_lfilter([amp], [1.0, -decay], z[:, 1:], axis=1,
+                                         zi=decay * expect[:, :1])
+        assert np.array_equal(
+            noise.lfilter(amp, decay, z[:, 1:], expect[:, 0], np.empty((rows, n_steps - 1))),
+            expect[:, 1:])
+    out = {"fresh": None, "c_order": np.empty_like(z), "in_place": z,
+           "step_major": np.empty((n_steps, rows)).T}[layout]
+    got = ou_filter(model, z, dt, out=out)
+    assert out is None or got is out
+    assert np.array_equal(got, expect)

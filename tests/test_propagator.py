@@ -322,6 +322,19 @@ class TestEvolveValidation:
         single = prop.evolve_batch(s, vals[1], grid)[0]
         np.testing.assert_allclose(single, batch[1], atol=1e-12)
 
+    @pytest.mark.parametrize("axis", ["longitudinal", "transverse"])
+    def test_step_major_noise_gives_the_same_states(self, axis):
+        # the ensemble batches hold their paths step-major; the layout must
+        # not move a bit of the states
+        s = build_cpmg(1.0, KAPPA)
+        grid = prop.StepGrid.from_schedule(s, 10)
+        vals = np.random.default_rng(6).normal(0, 0.05, size=(37, grid.total_steps))
+        step_major = np.zeros(vals.shape[::-1]).T
+        step_major[:] = vals
+        assert step_major.flags.f_contiguous and not step_major.flags.c_contiguous
+        assert np.array_equal(prop.evolve_batch(s, step_major, grid, noise_axis=axis),
+                              prop.evolve_batch(s, vals, grid, noise_axis=axis))
+
 
 class TestPerRowSchedules:
     BUILDERS = {
