@@ -82,8 +82,10 @@ _ADAPTIVE_MARGIN = 1.1
 _BATCH_ELEMS = 1 << 22
 # rows per draw of normals: the row-major buffer they go to stays small
 _DRAW_ROWS = 1024
-# resample indices drawn per bootstrap chunk
-_BOOTSTRAP_CHUNK_ELEMS = 1 << 20
+# resample indices drawn per bootstrap block: at 8 B of int64 index plus 16 B
+# of gathered complex128 per element, a block takes about 1.5 MB and stays in
+# one core's L2, so the gather and its row means run from cache
+_BOOTSTRAP_CHUNK_ELEMS = 1 << 16
 # substream namespaces under (master_seed, stream_key, ...)
 _NS_NOISE = 0
 _NS_BOOTSTRAP = 1
@@ -439,6 +441,13 @@ def bootstrap_errors(per_realization_coherences, resamples: int, rng: np.random.
     Resamples realization-level coherences with replacement; phase
     deviations are wrapped around the point estimate so the error is not
     inflated by branch cuts.  Deterministic given the generator.
+
+    The resamples are drawn and reduced in blocks of about
+    ``_BOOTSTRAP_CHUNK_ELEMS`` indices (at least one resample per block),
+    so besides the ``resamples`` means the working memory is O(block)
+    whatever n x resamples is (one resample, when n alone exceeds a
+    block).  The indices come from the generator in the same order
+    whatever the block, so the result does not depend on it.
     """
     z = np.asarray(per_realization_coherences, dtype=complex)
     n = len(z)
@@ -446,8 +455,6 @@ def bootstrap_errors(per_realization_coherences, resamples: int, rng: np.random.
         raise ValueError("bootstrap needs at least 2 realizations")
     z_mean = z.mean()
     gamma_hat = np.angle(z_mean)
-    # resample rows in chunks: the index stream is the same, the memory is not
-    # resamples x n
     means = np.empty(resamples, dtype=complex)
     rows = max(1, _BOOTSTRAP_CHUNK_ELEMS // n)
     for lo in range(0, resamples, rows):

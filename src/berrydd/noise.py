@@ -1,6 +1,9 @@
-"""Stationary Ornstein-Uhlenbeck generator for the longitudinal fluctuating field.
+"""Stationary Ornstein-Uhlenbeck generator for the fluctuating field.
 
-The fluctuating field K3(t) is a zero-mean Gaussian process with
+The same paths drive longitudinal noise (added to the field's z
+component) and transverse noise (added to its radial component);
+``noise_axis`` of ``propagator.evolve_batch`` picks which.  The
+fluctuating field K(t) is a zero-mean Gaussian process with
 autocorrelation  alpha * exp(-gamma |tau|)  and the Lorentzian power
 spectrum  2 alpha gamma / (gamma^2 + omega^2).  Trajectories are produced
 on the propagator step grid (one value per step, held constant over the
@@ -67,7 +70,7 @@ class NoiseModel:
     """OU parameters: noise power ``alpha`` and bandwidth ``gamma``.
 
     Both are expressed in B0-units (B0 = 1, time in 1/B0): alpha is the
-    stationary variance of K3 and gamma the inverse correlation time.
+    stationary variance of K and gamma the inverse correlation time.
     """
 
     alpha: float
@@ -82,7 +85,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """One sampled K3 path: piecewise constant, one value per grid step."""
+    """One sampled K path: piecewise constant, one value per grid step."""
 
     dt: float
     values: np.ndarray

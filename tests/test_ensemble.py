@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -396,16 +397,36 @@ class TestBootstrap:
         b = bootstrap_errors(z, 500, substream(3, 0))
         assert a == b
 
-    def test_chunked_resampling_matches_one_draw(self):
-        # n = 5000 needs more than one chunk of resample rows; the result
-        # equals drawing every index at once from the same stream
+    @pytest.mark.parametrize("n, resamples", [
+        (400, 1000),    # many resamples per block
+        (5000, 300),
+        (20000, 1000),  # 3 resamples per block, the last block partial
+        (70000, 5),     # one resample is bigger than a block
+    ])
+    def test_chunked_resampling_matches_one_draw(self, n, resamples):
+        # the result equals drawing every index at once from the same stream
         rng = np.random.default_rng(15)
-        z = 0.5 * np.exp(1j * 0.2 * rng.standard_normal(5000))
-        idx = substream(5, 0).integers(0, len(z), size=(300, len(z)))
-        means = z[idx].mean(axis=1)
+        z = 0.5 * np.exp(1j * 0.2 * rng.standard_normal(n))
+        idx = substream(5, 0).integers(0, n, size=(resamples, n))
+        # each resample's mean is its own row reduction; slicing the rows
+        # only keeps the reference's gather small
+        means = np.concatenate([z[part].mean(axis=1) for part in np.array_split(idx, 20)])
         expect = (float(np.std(wrap_angle(np.angle(means) - np.angle(z.mean())))),
                   float(np.std(2.0 * np.abs(means))))
-        assert bootstrap_errors(z, 300, substream(5, 0)) == expect
+        assert bootstrap_errors(z, resamples, substream(5, 0)) == expect
+
+    def test_memory_stays_within_a_block(self):
+        # 20000 coherences x 1000 resamples would be 480 MB of indices and
+        # gathered values at once; blocks keep the peak near 1.5 MB
+        z = 0.5 * np.exp(1j * 0.2 * np.random.default_rng(16).standard_normal(20000))
+        rng = substream(6, 0)
+        tracemalloc.start()
+        try:
+            bootstrap_errors(z, 1000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_wraps_phase_deviations(self):
         # phases straddling the branch cut must not blow up the error

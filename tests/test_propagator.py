@@ -400,3 +400,18 @@ class TestStepper:
         noise = np.random.default_rng(seed).normal(0.0, scale, (3, grid.total_steps))
         states = prop.evolve_batch(schedule, noise, grid, noise_axis=axis)
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_field_step_is_the_identity(self):
+        # at theta = 1e-200 sin^2(theta) underflows to 0, so a longitudinal
+        # noise of -1 cancels the field exactly: the guarded step must leave
+        # the state alone, not divide 0 by 0
+        s = build_fid(1e-200, 2, KAPPA)
+        grid = prop.StepGrid.from_schedule(s, 10)
+        noise = np.zeros((2, grid.total_steps))
+        noise[0] = -1.0
+        states = prop.evolve_batch(s, noise, grid)
+        assert not np.isnan(states).any()
+        psi0 = prop.initial_superposition(prop._direction(1e-200, s.phi0))
+        np.testing.assert_array_equal(states[0], psi0)
+        # the zero-noise row beside it is what it is alone
+        np.testing.assert_array_equal(states[1], prop.evolve_batch(s, noise[1:], grid)[0])
