@@ -22,9 +22,11 @@ CSV header.  ``prediction_for_scheme`` and the ``chi_*`` functions read it;
 their mode="full" is ``linear_response_chi`` of the built schedule.
 
 The filter-function route (Cywinski et al., PRB 77, 174509 (2008)) starts
-from the switch times of the standard patterns in ``PATTERNS``: F(z) of
-``filter_function`` is derived from them, ``chi_spectral`` computes the
-spectral overlap integral
+from the switch times of the standard patterns in ``PATTERNS``.
+``pattern_weights`` gives their +-1 pieces as (h_k, d_k) pairs, the form in
+which ``schedule.linear_coefficients`` gives a schedule's noise weights.
+F(z) of ``filter_function`` is derived from them, ``chi_spectral`` computes
+the spectral overlap integral
 
     chi = int_0^inf (dw/pi) S3(w) F(w T) / w^2
 
@@ -60,12 +62,10 @@ from .schedule import (
 __all__ = [
     "DrivenParams",
     "DephasingPrediction",
-    "SwitchingFunction",
     "Scheme",
     "SCHEMES",
     "FID_WINDINGS",
     "PATTERNS",
-    "omega_splitting",
     "chi_fid",
     "chi_se",
     "chi_cpmg",
@@ -74,14 +74,13 @@ __all__ = [
     "chi_from_piecewise",
     "linear_response_chi",
     "quasistatic_coherence",
+    "pattern_weights",
     "filter_function",
-    "switching_function",
     "chi_spectral",
     "chi_closed",
     "depolarization_lambda",
     "transverse_coefficients",
     "solve_theta_c_transverse",
-    "crossover_theta",
     "prediction_for_scheme",
 ]
 
@@ -175,25 +174,6 @@ class DephasingPrediction:
     @property
     def w(self) -> float:
         return math.exp(-self.chi)
-
-    @property
-    def w_with_depolarization(self) -> float:
-        return math.exp(-self.lam / 2.0 - self.chi)
-
-
-# -- phases --------------------------------------------------------------------
-
-
-def omega_splitting(kappa: float, theta: float):
-    """Co-rotating eigen-splitting: (exact, three-term expansion) over B0.
-
-    Exact: sqrt((1 - cos(theta)/kappa)^2 + sin^2(theta)/kappa^2) for the
-    anticlockwise sense; the expansion keeps terms through 1/kappa^2.
-    """
-    w = 1.0 / kappa
-    exact = math.sqrt((1.0 - w * math.cos(theta)) ** 2 + (w * math.sin(theta)) ** 2)
-    expansion = 1.0 - w * math.cos(theta) + 0.5 * w * w * math.sin(theta) ** 2
-    return exact, expansion
 
 
 # -- the scheme registry ----------------------------------------------------------
@@ -453,56 +433,6 @@ def quasistatic_coherence(schedule: Schedule, model: NoiseModel) -> complex:
 # -- filter-function route (Cywinski et al., PRB 77, 174509 (2008)) ---------------
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """Sign-switching weight h(t) in {+1,-1}: +1 on [t0,t1), -1 on [t1,t2), ..."""
-
-    times: tuple  # t0 = 0 < t1 < ... < t_{m+1} = T
-
-    def __post_init__(self):
-        t = tuple(float(x) for x in self.times)
-        object.__setattr__(self, "times", t)
-        if len(t) < 2 or t[0] != 0.0 or any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("switch times must be strictly increasing from 0 to T")
-
-    @property
-    def total_time(self) -> float:
-        return self.times[-1]
-
-    def h(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                      len(self.times) - 2)
-        out = np.where(idx % 2 == 0, 1.0, -1.0)
-        return out if out.ndim else float(out)
-
-    def weights(self) -> list:
-        """(h, duration) of each constant piece, as :func:`chi_from_piecewise` takes them."""
-        return [(1.0 if k % 2 == 0 else -1.0, b - a)
-                for k, (a, b) in enumerate(zip(self.times, self.times[1:]))]
-
-    def integral(self) -> float:
-        """int_0^T h(t) dt."""
-        return sum(h * d for h, d in self.weights())
-
-    def filter(self, z):
-        """Spectral weight F(z) = |omega H(omega)|^2 / 2 at z = omega*T.
-
-        H is the Fourier transform of h.  A piece of sign h_k, duration d_k
-        and midpoint m_k adds h_k 2 sin(omega d_k/2) e^{i omega m_k} to
-        omega H; summing these sines keeps F accurate as z -> 0, where the
-        expanded cosine form of F cancels.
-        """
-        u = np.asarray(self.times) / self.total_time
-        h = np.array([w for w, _ in self.weights()])
-        z = np.asarray(z, dtype=float)
-        amp = h * 2.0 * np.sin(z[..., None] * np.diff(u) / 2.0)
-        phase = z[..., None] * (u[1:] + u[:-1]) / 2.0
-        out = (np.sum(amp * np.cos(phase), axis=-1) ** 2
-               + np.sum(amp * np.sin(phase), axis=-1) ** 2) / 2.0
-        return out if out.ndim else float(out)
-
-
 #: switch times of the standard patterns as fractions of T: free evolution,
 #: spin echo and the two-pulse echo
 PATTERNS = {
@@ -512,20 +442,36 @@ PATTERNS = {
 }
 
 
-def switching_function(sequence: str, total_time: float = 1.0) -> SwitchingFunction:
-    """Switching pattern of the standard sequences over [0, T]."""
+def pattern_weights(sequence: str, total_time: float = 1.0) -> list:
+    """(h_k, d_k) of the pieces of a standard pattern over [0, T].
+
+    The sign-switching weight h(t) is +1, -1, +1, ... between the switch
+    times of ``PATTERNS``; the pairs are in the form
+    :func:`chi_from_piecewise` takes.
+    """
     if sequence not in PATTERNS:
         raise ValueError(f"sequence must be one of {tuple(PATTERNS)}, got {sequence!r}")
-    return SwitchingFunction(tuple(total_time * u for u in PATTERNS[sequence]))
+    t = [total_time * u for u in PATTERNS[sequence]]
+    return [(1.0 if k % 2 == 0 else -1.0, b - a) for k, (a, b) in enumerate(zip(t, t[1:]))]
 
 
 def filter_function(sequence: str, z):
-    """Spectral weight F(z) of a standard switching pattern, z = omega*T.
+    """Spectral weight F(z) = |omega H(omega)|^2 / 2 of a standard pattern, z = omega*T.
 
-    Derived from the pattern's switch times; for fid, se and cpmg2 it
-    equals 2 sin^2(z/2), 8 sin^4(z/4) and 32 sin^4(z/8) sin^2(z/4).
+    H is the Fourier transform of h.  A piece of sign h_k, duration d_k
+    and midpoint m_k adds h_k 2 sin(omega d_k/2) e^{i omega m_k} to
+    omega H; summing these sines keeps F accurate as z -> 0, where the
+    expanded cosine form of F cancels.  For fid, se and cpmg2 it equals
+    2 sin^2(z/2), 8 sin^4(z/4) and 32 sin^4(z/8) sin^2(z/4).
     """
-    return switching_function(sequence).filter(z)
+    h, d = np.array(pattern_weights(sequence)).T
+    u = np.asarray(PATTERNS[sequence])
+    z = np.asarray(z, dtype=float)
+    amp = h * 2.0 * np.sin(z[..., None] * d / 2.0)
+    phase = z[..., None] * (u[1:] + u[:-1]) / 2.0
+    out = (np.sum(amp * np.cos(phase), axis=-1) ** 2
+           + np.sum(amp * np.sin(phase), axis=-1) ** 2) / 2.0
+    return out if out.ndim else float(out)
 
 
 def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
@@ -543,26 +489,26 @@ def chi_spectral(sequence: str, noise: NoiseModel, total_time: float) -> float:
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    sw = switching_function(sequence)
+    u = PATTERNS[sequence]
     beta = noise.gamma * total_time
     eta = noise.alpha * noise.gamma * total_time**3
     z0 = max(16.0 * math.pi, 4.0 * beta)
 
     # for the tail, F(z) = |sum_j e_j e^{i z u_j}|^2 / 2 over the switch points
     # u_j, with e_j the jump of h there, expands into a0 + sum_c a_c cos(c z)
-    h = [0.0, *(w for w, _ in sw.weights()), 0.0]
+    h = [0.0, *(w for w, _ in pattern_weights(sequence)), 0.0]
     jumps = [a - b for a, b in zip(h, h[1:])]
     a0 = sum(e * e for e in jumps) / 2.0
     cos_terms = {}
-    for j, (uj, ej) in enumerate(zip(sw.times, jumps)):
-        for uk, ek in zip(sw.times[j + 1:], jumps[j + 1:]):
+    for j, (uj, ej) in enumerate(zip(u, jumps)):
+        for uk, ek in zip(u[j + 1:], jumps[j + 1:]):
             cos_terms[uk - uj] = cos_terms.get(uk - uj, 0.0) + ej * ek
 
     def g(z):
         return 1.0 / (z * z * (z * z + beta * beta))
 
     def head(z):
-        return sw.filter(z) * g(z)
+        return filter_function(sequence, z) * g(z)
 
     pts = sorted({beta, 2.0 * beta, 0.5, 1.0} | {k * math.pi for k in range(1, 16)})
     pts = [p for p in pts if 0.0 < p < z0]
@@ -590,7 +536,7 @@ def chi_closed(sequence: str, noise: NoiseModel, total_time: float) -> float:
     It is the kernel oracle :func:`chi_from_piecewise` over the pattern's
     +-1 weights.
     """
-    return chi_from_piecewise(switching_function(sequence, total_time).weights(), noise)
+    return chi_from_piecewise(pattern_weights(sequence, total_time), noise)
 
 
 # -- transverse noise and depolarization ----------------------------------------
@@ -611,21 +557,9 @@ def depolarization_lambda(params: DrivenParams) -> float:
 
 
 def transverse_coefficients(schedule: Schedule, kappa: float) -> list:
-    """Per-segment weight of radial (drive-amplitude) noise in the random phase.
-
-    c_k = s_k (sin theta_k - sgn(l_k) cos(theta_k) sin(theta_k) / kappa).
-    Unlike the longitudinal case, the mirror sequence does NOT null the
-    sum of these weights: the radial geometric weight keeps the same sign
-    on both cones.
-    """
-    out = []
-    for seg in schedule.segments:
-        c = seg.s * (
-            math.sin(seg.theta)
-            - seg.winding_sign * math.cos(seg.theta) * math.sin(seg.theta) / kappa
-        )
-        out.append((c, 2.0 * math.pi * float(abs(seg.l)) * kappa))
-    return out
+    """Per-segment weight of radial (drive-amplitude) noise in the random phase:
+    :func:`~berrydd.schedule.linear_coefficients` on the transverse axis."""
+    return linear_coefficients(schedule, kappa, "transverse")
 
 
 def solve_theta_c_transverse(theta_a: float, kappa: float) -> float:
@@ -674,13 +608,3 @@ def solve_theta_c_transverse(theta_a: float, kappa: float) -> float:
             f"theta_a={theta_a}, kappa={kappa}"
         )
     return t
-
-
-def crossover_theta(beta: float, kappa: float) -> float:
-    """Angle where the spin echo's geometric and dynamic terms are equal.
-
-    Solves cos^2/sin^4 = 6/(beta kappa^2), a quadratic in u = cos^2(theta).
-    """
-    a = 6.0 / (beta * kappa * kappa)
-    u = ((2.0 * a + 1.0) - math.sqrt(4.0 * a + 1.0)) / (2.0 * a)
-    return math.acos(math.sqrt(u))

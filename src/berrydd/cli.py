@@ -259,13 +259,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"invalid config: {exc}") from exc
 
 
-def _check_config_warnings(cfg: ExperimentConfig) -> list:
+def _check_config_warnings(cfg: ExperimentConfig, schemes=None) -> list:
+    """The warnings of a run of ``cfg``, or of a sweep of it over ``schemes``.
+
+    Each is printed to stderr and returned, for the CSV header and the
+    manifest notes.
+    """
     notes = []
     if cfg.kappa < KAPPA_WARN:
         notes.append(
             f"kappa = {cfg.kappa} < {KAPPA_WARN}: barely adiabatic; closed forms degrade"
         )
-    if cfg.noise_axis == "transverse" and cfg.scheme == "mirror":
+    if cfg.noise_axis == "transverse" and "mirror" in (schemes or (cfg.scheme,)):
         notes.append(
             "mirror sequence does not suppress transverse geometric dephasing "
             "(its radial noise weights share one sign across the cones)"
@@ -288,16 +293,18 @@ def _cmd_theta_sweep(args) -> int:
         master_seed=args.seed, dt_divisor=args.dt_divisor,
         noise_axis=args.noise_axis, workers=args.workers,
     )
+    notes = _check_config_warnings(base, ensemble.THETA_SWEEP_SCHEMES)
     results = sweep_theta(base, grid)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "theta_sweep_results.csv", out / "theta_sweep_phase.csv",
              out / "theta_sweep_coherence.csv"]
-    write_results_csv(results, paths[0])
+    write_results_csv(results, paths[0], notes=notes)
     _write_view_csv(results, paths[1], "gamma", ensemble.THETA_SWEEP_SCHEMES)
     _write_view_csv(results, paths[2], "W_vs_theta", ensemble.THETA_SWEEP_SCHEMES)
     _manifest_for("theta-sweep", base, paths,
-                  [f"theta_grid={list(map(float, grid))}"]).write(out / "theta_sweep_manifest.json")
+                  notes + [f"theta_grid={list(map(float, grid))}"]).write(
+        out / "theta_sweep_manifest.json")
     print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
 
@@ -313,11 +320,12 @@ def _cmd_beta_sweep(args) -> int:
         dt_divisor=args.dt_divisor, noise_axis=args.noise_axis,
         workers=args.workers,
     )
+    notes = [f"eta scaling rule: eta = {args.eta_per_beta}*beta (fixed noise power alpha3)",
+             *_check_config_warnings(base, ensemble.THETA_SWEEP_SCHEMES)]
     results = sweep_beta(base, grid, eta_per_beta=args.eta_per_beta)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "beta_sweep_results.csv", out / "beta_sweep_coherence.csv"]
-    notes = [f"eta scaling rule: eta = {args.eta_per_beta}*beta (fixed noise power alpha3)"]
     write_results_csv(results, paths[0], notes=notes)
     _write_view_csv(results, paths[1], "W_vs_beta", ensemble.THETA_SWEEP_SCHEMES)
     _manifest_for("beta-sweep", base, paths,

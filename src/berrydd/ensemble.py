@@ -403,11 +403,8 @@ def _result(config, schedule, model, z_ref, z, errors=None):
         config.scheme, config.params(),
         mode="lowfreq" if config.beta <= 0.1 else "full",
     )
-    chi_exact = analytics.linear_response_chi(
-        schedule, config.kappa, model
-    ) if config.noise_axis == "longitudinal" else analytics.chi_from_piecewise(
-        analytics.transverse_coefficients(schedule, config.kappa), model
-    )
+    chi_exact = analytics.chi_from_piecewise(
+        sched.linear_coefficients(schedule, config.kappa, config.noise_axis), model)
 
     offset = wrap_angle(gamma_ref - prediction.gamma_expected)
     gamma_corrected = float(wrap_angle(gamma_mean - offset))

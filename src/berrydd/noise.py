@@ -57,8 +57,6 @@ __all__ = [
     "NoiseRealization",
     "substream",
     "substream_normals",
-    "correlation",
-    "spectrum",
     "lfilter",
     "ou_filter",
     "sample_realization",
@@ -211,18 +209,6 @@ def substream_normals(master_seed: int, key: tuple, realizations, n_steps: int,
         bitgen.state = state
         gen.standard_normal(out=row)
     return out
-
-
-def correlation(model: NoiseModel, tau: float) -> float:
-    """Autocorrelation alpha * exp(-gamma |tau|)."""
-    return model.alpha * np.exp(-model.gamma * abs(tau))
-
-
-def spectrum(model: NoiseModel, omega) -> float:
-    """Lorentzian power spectrum 2 alpha gamma / (gamma^2 + omega^2)."""
-    omega = np.asarray(omega, dtype=float)
-    out = 2.0 * model.alpha * model.gamma / (model.gamma**2 + omega**2)
-    return out if out.ndim else float(out)
 
 
 def _ou_coefficients(model: NoiseModel, dt: float):

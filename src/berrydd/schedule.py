@@ -306,20 +306,36 @@ def expected_phase_difference(schedule: Schedule) -> float:
     )
 
 
-def linear_coefficients(schedule: Schedule, kappa: float) -> list:
-    """Per-segment weight of the longitudinal noise in the random phase.
+def linear_coefficients(schedule: Schedule, kappa: float,
+                        noise_axis: str = "longitudinal") -> list:
+    """Per-segment weight of the noise in the random phase, on either noise axis.
 
-    Returns (c_k, duration_k) with c_k = s_k (cos theta_k - sgn(l_k)
-    sin^2(theta_k)/kappa); the random relative phase is
-    -sum_k c_k * integral of K3 over segment k.
+    Returns (c_k, duration_k); the random relative phase is
+    -sum_k c_k * integral of K over segment k.  For longitudinal noise
+    (on the field's z component)
+
+        c_k = s_k (cos theta_k - sgn(l_k) sin^2(theta_k)/kappa),
+
+    and for transverse (radial, drive-amplitude) noise
+
+        c_k = s_k (sin theta_k - sgn(l_k) cos(theta_k) sin(theta_k)/kappa).
+
+    Unlike the longitudinal case, the mirror sequence does NOT null the sum
+    of the transverse weights: the radial geometric weight keeps the same
+    sign on both cones.
     """
-    out = []
-    for seg in schedule.segments:
-        c = seg.s * (
-            math.cos(seg.theta) - seg.winding_sign * math.sin(seg.theta) ** 2 / kappa
-        )
-        out.append((c, _TWO_PI * float(abs(seg.l)) * kappa))
-    return out
+    if noise_axis == "longitudinal":
+        def weight(seg):
+            return math.cos(seg.theta) - seg.winding_sign * math.sin(seg.theta) ** 2 / kappa
+    elif noise_axis == "transverse":
+        def weight(seg):
+            return (math.sin(seg.theta)
+                    - seg.winding_sign * math.cos(seg.theta) * math.sin(seg.theta) / kappa)
+    else:
+        raise ValueError(
+            f"noise_axis must be 'longitudinal' or 'transverse', got {noise_axis!r}")
+    return [(seg.s * weight(seg), _TWO_PI * float(abs(seg.l)) * kappa)
+            for seg in schedule.segments]
 
 
 def dynamic_phase_sum(schedule: Schedule) -> Fraction:

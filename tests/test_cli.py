@@ -364,6 +364,41 @@ class TestThetaSweep:
         assert len(fid) == 13
         assert [(r["theta_a"], r["gamma_theory_loop"]) for r in phase_rows] == fid
 
+    def test_longitudinal_sweep_notes_only_its_grid(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["theta-sweep", "--theta-grid", "0.9", "--realizations", 2,
+                        "--out-dir", out]) == 0
+        assert "warning" not in capsys.readouterr().err
+        man = json.loads((out / "theta_sweep_manifest.json").read_text())
+        assert man["notes"] == ["theta_grid=[0.9]"]
+
+    def test_transverse_sweep_carries_the_mirror_warning(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["theta-sweep", "--theta-grid", "0.9", "--realizations", 2,
+                        "--noise-axis", "transverse", "--out-dir", out]) == 0
+        assert "does not suppress transverse" in capsys.readouterr().err
+        man = json.loads((out / "theta_sweep_manifest.json").read_text())
+        assert len(man["notes"]) == 2
+        assert "does not suppress transverse" in man["notes"][0]
+        header = (out / "theta_sweep_results.csv").read_text()
+        assert f"# {man['notes'][0]}\n" in header
+
+    @pytest.mark.parametrize("command, grid", [("theta-sweep", "--theta-grid"),
+                                               ("beta-sweep", "--beta-grid")])
+    def test_low_kappa_sweep_notes_it_once(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning):
+            assert run_cli([command, grid, "0.9", "--realizations", 2, "--kappa", 4,
+                            "--out-dir", out]) == 0
+        assert capsys.readouterr().err.count("barely adiabatic") == 1
+        prefix = command.split("-")[0]
+        man = json.loads((out / f"{prefix}_sweep_manifest.json").read_text())
+        notes = [n for n in man["notes"] if "barely adiabatic" in n]
+        assert len(notes) == 1
+        header = (out / f"{prefix}_sweep_results.csv").read_text()
+        assert header.count("barely adiabatic") == 1
+        assert f"# {notes[0]}\n" in header
+
     def test_seeded_rerun_bit_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from berrydd import analytics as an
 from berrydd import ensemble
 from berrydd import propagator as prop
+from berrydd import schedule as sched
 from berrydd.cli import config_from_dict
 from berrydd.ensemble import (
     SCHEME_IDS,
@@ -157,6 +158,15 @@ class TestEstimators:
         assert 0.0 <= res.w <= 1.0 + 3 * res.w_stderr
         # chi_exact comes from the radial weights, which do not cancel
         assert res.chi_exact > 0
+
+    @pytest.mark.parametrize("axis", ["longitudinal", "transverse"])
+    @pytest.mark.parametrize("scheme", ["cpmg_balanced", "mirror"])
+    def test_chi_exact_is_the_kernel_of_the_schedule_weights(self, scheme, axis):
+        # one weight route for both axes: bit for bit, no second formula
+        config = make_config(scheme=scheme, noise_axis=axis, realizations=2)
+        weights = sched.linear_coefficients(build_schedule(config), config.kappa, axis)
+        expect = an.chi_from_piecewise(weights, config.params().noise_model())
+        assert run_ensemble(config).chi_exact == expect
 
 
 def _block_route(config):

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.optimize import curve_fit
 from scipy.signal import lfilter as scipy_lfilter
 
 from berrydd import noise
 from berrydd.noise import (
     NoiseModel,
-    correlation,
     ou_filter,
     sample_realization,
-    spectrum,
     substream,
     substream_normals,
 )
@@ -84,28 +81,6 @@ class TestStep:
         x = traj - traj.mean()
         r1 = np.dot(x[:-1], x[1:]) / np.dot(x, x)
         assert abs(r1 - np.exp(-0.1)) < 0.003
-
-
-class TestCorrelationAndSpectrum:
-    def test_correlation_at_zero_is_alpha(self):
-        assert correlation(NoiseModel(2.0, 1.0), 0.0) == 2.0
-
-    def test_correlation_value_and_evenness(self):
-        model = NoiseModel(2.0, 1.0)
-        assert correlation(model, 1.0) == pytest.approx(2 * np.exp(-1.0), rel=1e-12)
-        assert correlation(model, -1.0) == correlation(model, 1.0)
-        assert correlation(model, 1e6) == pytest.approx(0.0, abs=1e-300)
-
-    def test_spectrum_peak_and_halfwidth(self):
-        model = NoiseModel(3.0, 2.0)
-        assert spectrum(model, 0.0) == pytest.approx(2 * 3.0 / 2.0)
-        assert spectrum(model, 2.0) == pytest.approx(0.5 * spectrum(model, 0.0))
-
-    def test_spectrum_integral_recovers_power(self):
-        # independent quadrature oracle: int_0^inf S(w) dw / pi = alpha
-        model = NoiseModel(alpha=0.7, gamma=3.0)
-        val, _ = quad(lambda w: spectrum(model, w), 0, np.inf)
-        assert abs(val / np.pi - model.alpha) / model.alpha < 1e-6
 
 
 _STAT_MODEL = NoiseModel(alpha=1.0, gamma=1.0)

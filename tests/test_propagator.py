@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berrydd import propagator as prop
-from berrydd.analytics import omega_splitting
 from berrydd.schedule import (
     Schedule,
     SegmentSpec,
@@ -46,6 +45,14 @@ def random_schedules(draw):
     return Schedule(segments=tuple(segments), kappa=6.0, phi0=draw(st.floats(-math.pi, math.pi)),
                     boundaries=tuple(boundaries),
                     final=draw(st.sampled_from([None, "pulse", "flip"])))
+
+
+def splitting(kappa, theta):
+    """Co-rotating eigen-splitting over B0 for the anticlockwise sense, the
+    reference of the phase-rate checks:
+    sqrt((1 - cos(theta)/kappa)^2 + sin^2(theta)/kappa^2)."""
+    w = 1.0 / kappa
+    return math.sqrt((1.0 - w * math.cos(theta)) ** 2 + (w * math.sin(theta)) ** 2)
 
 
 def wrap(x):
@@ -201,6 +208,12 @@ class TestNoiselessEvolution:
         state = prop.evolve_batch(s, np.zeros((1, grid.total_steps)), grid)[0]
         assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
+    def test_collinear_splitting(self):
+        assert splitting(KAPPA, 0.0) == pytest.approx(abs(1 - 1 / KAPPA), rel=1e-15)
+
+    def test_static_drive_limit(self):
+        assert splitting(1e12, 1.3) == pytest.approx(1.0, abs=1e-11)
+
     def test_rotating_frame_splitting_matches_matrix_oracle(self):
         # diagonalize the co-rotating generator explicitly and compare the
         # gap against the closed-form splitting
@@ -215,8 +228,7 @@ class TestNoiselessEvolution:
                 # a clockwise drive splits like the anticlockwise one on the
                 # mirrored cone
                 ref_theta = theta if sign == 1 else math.pi - theta
-                exact, _ = omega_splitting(KAPPA, ref_theta)
-                assert gap == pytest.approx(exact, rel=1e-12)
+                assert gap == pytest.approx(splitting(KAPPA, ref_theta), rel=1e-12)
 
     def test_noiseless_phase_rate_matches_splitting(self):
         # one full winding: the branch phase difference accumulates at the
@@ -224,9 +236,8 @@ class TestNoiselessEvolution:
         theta = 0.9
         s = build_fid(theta, 1, KAPPA)
         z = prop.schedule_coherence(s, prop.evolve_exact(s))
-        exact, _ = omega_splitting(KAPPA, theta)
         t1 = s.total_time  # the winding-1 loop lasts 2*pi*kappa
-        predicted = wrap(exact * t1)
+        predicted = wrap(splitting(KAPPA, theta) * t1)
         # the tilt-angle interference modulates at delta ~ sin(theta)/kappa
         assert abs(wrap(np.angle(z) - predicted)) < 2 * math.sin(theta) / KAPPA
 

@@ -242,6 +242,10 @@ class TestLinearCoefficients:
         coeffs = [c for c, _ in linear_coefficients(s, kappa)]
         assert abs(abs(coeffs[0]) - abs(coeffs[1])) < 1e-12
 
+    def test_rejects_unknown_axis(self):
+        with pytest.raises(ValueError, match="noise_axis"):
+            linear_coefficients(build_se(0.7, KAPPA), KAPPA, "radial")
+
     @given(theta=angles)
     @settings(max_examples=100)
     def test_mirror_dc_sum_vanishes(self, theta):
